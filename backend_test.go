@@ -16,18 +16,18 @@ import (
 
 	"gocured"
 	"gocured/internal/corpus"
+	"gocured/internal/interp"
 )
 
 // runBoth executes one compiled program on both backends and fails the
-// test on any Result difference.
+// test on any Result difference. The VM leg is the public Run; the tree
+// leg reaches the reference walker through the test-only hook.
 func runBoth(t *testing.T, prog *gocured.Program, opt gocured.RunOptions) {
 	t.Helper()
-	opt.Backend = "tree"
-	tree, err := prog.Run(gocured.ModeCured, opt)
+	tree, err := gocured.RunOnBackend(prog, gocured.ModeCured, opt, interp.BackendTree)
 	if err != nil {
 		t.Fatalf("tree run: %v", err)
 	}
-	opt.Backend = "vm"
 	vm, err := prog.Run(gocured.ModeCured, opt)
 	if err != nil {
 		t.Fatalf("vm run: %v", err)
@@ -64,7 +64,6 @@ func TestBackendsGoldenOnTrap(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	opt := gocured.RunOptions{Stdin: []byte(corpus.FtpdExploitInput)}
-	opt.Backend = "vm"
 	vm, err := prog.Run(gocured.ModeCured, opt)
 	if err != nil {
 		t.Fatalf("vm run: %v", err)

@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	ccrun [-mode raw|cured|purify|valgrind] [-backend vm|tree] [-stdin file] [-trust] [-phases] [-trace out.json] [-prof N] file.c
+//	ccrun [-mode raw|cured|purify|valgrind] [-stdin file] [-trust] [-steps N] [-phases] [-trace out.json] [-trace-buf N] [-prof N] [-store-dir dir] file.c
+//
+// Programs run on the bytecode VM.
 //
 // With -trace, the run's flight recording is written as Chrome trace-event
 // JSON (load it in Perfetto or chrome://tracing), and a trapped run prints
@@ -30,7 +32,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write the flight recording as Chrome trace-event JSON to this file")
 	traceBuf := flag.Int("trace-buf", 0, "flight-recorder ring capacity in events (0 = 8192)")
 	profPeriod := flag.Int("prof", 0, "sample the current source line every N interpreter steps (0 = off)")
-	backend := flag.String("backend", "vm", "interpreter backend: vm (bytecode) or tree (reference walker)")
 	phases := flag.Bool("phases", false, "print per-phase compile durations to stderr before running")
 	storeDir := flag.String("store-dir", "", "persistent artifact store directory; recompiles of unchanged functions are replayed from it (empty = off)")
 	flag.Parse()
@@ -94,7 +95,6 @@ func main() {
 		Trace:         *traceOut != "",
 		TraceBuf:      *traceBuf,
 		ProfilePeriod: *profPeriod,
-		Backend:       *backend,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -65,7 +65,6 @@ import (
 	"gocured"
 	"gocured/internal/corpus"
 	"gocured/internal/flight"
-	"gocured/internal/interp"
 	"gocured/internal/pipeline"
 	"gocured/internal/trace"
 )
@@ -101,9 +100,6 @@ type CureRequest struct {
 	// ProfilePeriod enables step-sampling profiling at the given period
 	// (interpreter steps per sample; 0 = off).
 	ProfilePeriod int `json:"profile_period,omitempty"`
-	// Backend selects the interpreter backend for the run: "vm" (default)
-	// or "tree". Results are bit-identical; "tree" is the reference oracle.
-	Backend string `json:"backend,omitempty"`
 }
 
 // CureResponse is the POST /cure reply.
@@ -414,10 +410,6 @@ func (s *server) handleCure(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if _, err := interp.ParseBackend(req.Backend); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	traceID := req.TraceID
 	if traceID == "" {
 		traceID = r.Header.Get("X-Trace-Id")
@@ -461,7 +453,6 @@ func (s *server) handleCure(w http.ResponseWriter, r *http.Request) {
 			StepLimit:     req.StepLimit,
 			Trace:         req.Trace,
 			ProfilePeriod: req.ProfilePeriod,
-			Backend:       req.Backend,
 		},
 	}
 	start := time.Now()

@@ -156,16 +156,20 @@ func TestCorpusEndpoints(t *testing.T) {
 
 func TestUnknownJSONFieldRejected(t *testing.T) {
 	s := testServer()
-	rec, _ := post(t, s, `{"source":"int main(void){return 0;}","bogus_field":1}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400: %s", rec.Code, rec.Body.String())
-	}
-	var e errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-		t.Fatalf("error body not JSON: %v\n%s", err, rec.Body.String())
-	}
-	if e.Code != "bad_request" || !strings.Contains(e.Error, "bogus_field") {
-		t.Errorf("error body = %+v, want code bad_request naming the field", e)
+	// "backend" is no field of the request: a client still selecting an
+	// engine must be told so, not silently run on the VM.
+	for _, field := range []string{"bogus_field", "backend"} {
+		rec, _ := post(t, s, `{"source":"int main(void){return 0;}","`+field+`":"tree"}`)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400: %s", field, rec.Code, rec.Body.String())
+		}
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: error body not JSON: %v\n%s", field, err, rec.Body.String())
+		}
+		if e.Code != "bad_request" || !strings.Contains(e.Error, field) {
+			t.Errorf("%s: error body = %+v, want code bad_request naming the field", field, e)
+		}
 	}
 }
 

@@ -124,11 +124,6 @@ type RunOptions struct {
 	// Result.Profile. 0 disables; use flight.DefaultSamplePeriod (4096) for
 	// the standard rate.
 	ProfilePeriod int
-	// Backend selects the interpreter backend: "vm" (the default; flat
-	// bytecode compiled once per Program and shared by every run) or
-	// "tree" (the reference tree walker). Both produce bit-identical
-	// results; "tree" exists as the oracle and escape hatch.
-	Backend string
 }
 
 // Result is the outcome of one execution.
@@ -286,12 +281,14 @@ func CompileStored(filename, src string, opts Options, sums SummarySource) (*Pro
 // for a plain Compile).
 func (p *Program) IncrStats() IncrStats { return p.unit.Incr }
 
-// Run executes the program in the given mode.
+// Run executes the program in the given mode on the bytecode VM.
 func (p *Program) Run(mode Mode, opt RunOptions) (*Result, error) {
-	backend, err := interp.ParseBackend(opt.Backend)
-	if err != nil {
-		return nil, err
-	}
+	return p.run(mode, opt, interp.BackendVM)
+}
+
+// run executes the program on the given backend. Only tests select the
+// tree walker, as the reference the VM's Results must equal.
+func (p *Program) run(mode Mode, opt RunOptions, backend interp.Backend) (*Result, error) {
 	cfg := interp.Config{
 		StepLimit: opt.StepLimit,
 		StackSize: opt.StackSize,
@@ -315,6 +312,7 @@ func (p *Program) Run(mode Mode, opt RunOptions) (*Result, error) {
 		cfg.Profile = prof
 	}
 	var out *interp.Outcome
+	var err error
 	switch mode {
 	case ModeRaw:
 		out, err = p.unit.RunRaw(interp.PolicyNone, cfg)

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"sync"
 	"time"
 
-	"gocured"
+	"gocured/internal/core"
 	"gocured/internal/corpus"
+	"gocured/internal/infer"
+	"gocured/internal/interp"
 )
 
 // E11: interpreter-backend throughput. Every corpus program is compiled
@@ -92,22 +95,24 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 	if scale > 0 {
 		src = corpus.WithScale(p, scale)
 	}
-	prog, err := gocured.Compile(p.Name+".c", src, gocured.Options{TrustBadCasts: p.TrustBadCasts})
+	u, err := core.Build(p.Name+".c", src, infer.Options{TrustBadCasts: p.TrustBadCasts})
 	if err != nil {
 		panic(fmt.Sprintf("interpbench: build %s: %v", p.Name, err))
 	}
-	time1 := func(backend string) (*gocured.Result, float64) {
-		opts := gocured.RunOptions{Backend: backend}
+	// The tree walker is reachable only through interp.Config, so E11 runs
+	// the cured unit directly rather than through gocured.Program.Run.
+	time1 := func(backend interp.Backend) (*interp.Outcome, float64) {
+		cfg := interp.Config{Backend: backend}
 		// Warmup: the first vm run compiles the bytecode module (cached on
-		// the Program thereafter); the first tree run warms layout caches.
-		out, err := prog.Run(gocured.ModeCured, opts)
+		// the Unit thereafter); the first tree run warms layout caches.
+		out, err := u.RunCured(cfg)
 		if err != nil {
 			panic(fmt.Sprintf("interpbench: run %s (%s): %v", p.Name, backend, err))
 		}
 		best := math.MaxFloat64
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
-			if _, err := prog.Run(gocured.ModeCured, opts); err != nil {
+			if _, err := u.RunCured(cfg); err != nil {
 				panic(fmt.Sprintf("interpbench: run %s (%s): %v", p.Name, backend, err))
 			}
 			if ms := float64(time.Since(t0).Nanoseconds()) / 1e6; ms < best {
@@ -116,17 +121,17 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 		}
 		return out, best
 	}
-	treeOut, treeMS := time1("tree")
-	vmOut, vmMS := time1("vm")
+	treeOut, treeMS := time1(interp.BackendTree)
+	vmOut, vmMS := time1(interp.BackendVM)
 	// The backends must be observably identical — counters included.
 	if treeOut.Stdout != vmOut.Stdout || treeOut.ExitCode != vmOut.ExitCode ||
-		treeOut.Trapped != vmOut.Trapped || treeOut.TrapKind != vmOut.TrapKind ||
-		treeOut.TrapPos != vmOut.TrapPos || treeOut.TrapMessage != vmOut.TrapMessage ||
-		treeOut.Steps != vmOut.Steps || treeOut.Checks != vmOut.Checks ||
-		treeOut.SimCycles != vmOut.SimCycles || treeOut.MemAccesses != vmOut.MemAccesses {
-		panic(fmt.Sprintf("interpbench: %s diverges between tree and vm: steps %d/%d checks %d/%d trapped %v/%v",
-			p.Name, treeOut.Steps, vmOut.Steps, treeOut.Checks, vmOut.Checks,
-			treeOut.Trapped, vmOut.Trapped))
+		!reflect.DeepEqual(treeOut.Trap, vmOut.Trap) ||
+		treeOut.Counters.Steps != vmOut.Counters.Steps || treeOut.Counters.Checks != vmOut.Counters.Checks ||
+		treeOut.Counters.Cost != vmOut.Counters.Cost ||
+		treeOut.MemLoads != vmOut.MemLoads || treeOut.MemStores != vmOut.MemStores {
+		panic(fmt.Sprintf("interpbench: %s diverges between tree and vm: steps %d/%d checks %d/%d trap %v/%v",
+			p.Name, treeOut.Counters.Steps, vmOut.Counters.Steps, treeOut.Counters.Checks, vmOut.Counters.Checks,
+			treeOut.Trap, vmOut.Trap))
 	}
 	stepsPerSec := func(steps uint64, ms float64) float64 {
 		if ms <= 0 {
@@ -136,13 +141,13 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 	}
 	return InterpBenchRow{
 		Name:            p.Name,
-		Steps:           treeOut.Steps,
+		Steps:           treeOut.Counters.Steps,
 		TreeMS:          treeMS,
 		VMMS:            vmMS,
-		TreeStepsPerSec: stepsPerSec(treeOut.Steps, treeMS),
-		VMStepsPerSec:   stepsPerSec(vmOut.Steps, vmMS),
+		TreeStepsPerSec: stepsPerSec(treeOut.Counters.Steps, treeMS),
+		VMStepsPerSec:   stepsPerSec(vmOut.Counters.Steps, vmMS),
 		Speedup:         treeMS / vmMS,
-		Trapped:         vmOut.Trapped,
+		Trapped:         vmOut.Trap != nil,
 	}
 }
 

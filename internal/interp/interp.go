@@ -46,8 +46,9 @@ func (p Policy) String() string { return policyNames[p] }
 // Backend selects the execution engine.
 type Backend int
 
-// Backends. The bytecode VM is the default (zero value); the tree walker
-// remains as the semantic reference and escape hatch (-backend=tree).
+// Backends. The bytecode VM is the default (zero value) and the only
+// engine production code selects; the tree walker is the reference
+// semantics the differential fuzzer and the golden tests compare it to.
 const (
 	BackendVM Backend = iota
 	BackendTree
@@ -56,17 +57,6 @@ const (
 var backendNames = [...]string{"vm", "tree"}
 
 func (b Backend) String() string { return backendNames[b] }
-
-// ParseBackend parses a backend name ("vm" or "tree").
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "vm":
-		return BackendVM, nil
-	case "tree":
-		return BackendTree, nil
-	}
-	return 0, fmt.Errorf("unknown backend %q (want vm or tree)", s)
-}
 
 // Config configures a Machine.
 type Config struct {
@@ -97,8 +87,9 @@ type Config struct {
 	// period, or flight.DefaultSamplePeriod).
 	SamplePeriod uint64
 	// Backend selects the execution engine: the bytecode VM (default) or
-	// the tree walker. Both produce bit-identical observable results; the
-	// differential fuzzer and the backend golden tests enforce it.
+	// the tree walker, which only tests and the E11 experiment select.
+	// Both produce bit-identical observable results; the differential
+	// fuzzer and the backend golden tests enforce it.
 	Backend Backend
 	// Code is an optional precompiled bytecode module for the program this
 	// machine runs (it must have been compiled from the same *cil.Program
@@ -779,15 +770,12 @@ func (m *Machine) layoutOf(fn *cil.Func) *funcLayout {
 // ---- Calls ----
 
 // call invokes a defined function with already-converted argument values,
-// dispatching to the bytecode when the function compiled (direct bytecode
-// call sites skip this and jump to vmCall with a linked *FuncCode; this
-// path serves the tree backend, indirect calls, builtin callbacks, and
-// the per-function fallback for code the vm compiler skipped).
+// dispatching to its bytecode on the VM backend (direct bytecode call sites
+// skip this and jump to vmCall with a linked *FuncCode; this path serves
+// the tree backend, indirect calls and builtin callbacks).
 func (m *Machine) call(fn *cil.Func, args []Value) Value {
 	if m.code != nil {
-		if fc := m.code.ByFunc[fn]; fc != nil {
-			return m.vmCall(fc, args)
-		}
+		return m.vmCall(m.code.ByFunc[fn], args)
 	}
 	fl := m.layoutOf(fn)
 	blk, err := m.mem.PushFrame(fl.size, fn.Name)

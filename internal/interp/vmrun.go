@@ -209,12 +209,7 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 		case vm.OpCallFn:
 			ci := &fc.Calls[in.C]
 			args := regs[ci.ArgBase : ci.ArgBase+ci.NArgs]
-			var ret Value
-			if ci.FC != nil {
-				ret = m.vmCall(ci.FC, args)
-			} else {
-				ret = m.call(ci.Fn, args) // callee fell back to the tree
-			}
+			ret := m.vmCall(ci.FC, args)
 			if in.A >= 0 {
 				regs[in.A] = ret
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -770,32 +771,58 @@ func TestAdmissionPromFamilies(t *testing.T) {
 
 // TestCoalesceKeyIdentity pins the coalescing identity: jobs may share an
 // execution only when a cache hit could serve both the same payload, so
-// every option that changes the payload must split the key.
+// every option that changes the payload must split the key. The run half
+// is checked by a reflect loop over every RunOptions field, so a field
+// added later cannot be left out of the key unnoticed.
 func TestCoalesceKeyIdentity(t *testing.T) {
 	base := Job{Name: "a.c", Source: tinyOK, Run: true, Mode: gocured.ModeCured}
 	same := base
 	if coalesceKey(base) != coalesceKey(same) {
 		t.Fatal("identical jobs produced different coalesce keys")
 	}
-	vary := []func(*Job){
-		func(j *Job) { j.Source = tinyOK + " " },
-		func(j *Job) { j.Name = "b.c" },
-		func(j *Job) { j.Options.NoOptimize = true },
-		func(j *Job) { j.Run = false },
-		func(j *Job) { j.Mode = gocured.ModeRaw },
-		func(j *Job) { j.RunOptions.Stdin = []byte("x") },
-		func(j *Job) { j.RunOptions.Args = []string{"x"} },
-		func(j *Job) { j.RunOptions.StepLimit = 7 },
-		func(j *Job) { j.RunOptions.Trace = true },
-		func(j *Job) { j.RunOptions.ProfilePeriod = 100 },
-		func(j *Job) { j.RunOptions.Backend = "tree" },
+	vary := map[string]func(*Job){
+		"Source":     func(j *Job) { j.Source = tinyOK + " " },
+		"Name":       func(j *Job) { j.Name = "b.c" },
+		"NoOptimize": func(j *Job) { j.Options.NoOptimize = true },
+		"Run":        func(j *Job) { j.Run = false },
+		"Mode":       func(j *Job) { j.Mode = gocured.ModeRaw },
 	}
-	for i, f := range vary {
+	ro := reflect.TypeOf(gocured.RunOptions{})
+	for i := 0; i < ro.NumField(); i++ {
+		i, f := i, ro.Field(i)
+		vary["RunOptions."+f.Name] = func(j *Job) {
+			v := reflect.ValueOf(&j.RunOptions).Elem().Field(i)
+			switch {
+			case v.Kind() == reflect.Bool:
+				v.SetBool(true)
+			case v.CanInt():
+				v.SetInt(7)
+			case v.CanUint():
+				v.SetUint(7)
+			case v.Kind() == reflect.String:
+				v.SetString("x")
+			case v.Type() == reflect.TypeOf([]byte(nil)):
+				v.SetBytes([]byte("x"))
+			case v.Type() == reflect.TypeOf([]string(nil)):
+				v.Set(reflect.ValueOf([]string{"x"}))
+			default:
+				t.Fatalf("RunOptions.%s: no test value for type %s", f.Name, f.Type)
+			}
+		}
+	}
+	for name, f := range vary {
 		j := base
 		f(&j)
 		if coalesceKey(j) == coalesceKey(base) {
-			t.Errorf("variation %d did not change the coalesce key", i)
+			t.Errorf("varying %s did not change the coalesce key", name)
 		}
+	}
+	// Argument boundaries are identity too: {"a b"} is not {"a", "b"}.
+	one, two := base, base
+	one.RunOptions.Args = []string{"a b"}
+	two.RunOptions.Args = []string{"a", "b"}
+	if coalesceKey(one) == coalesceKey(two) {
+		t.Error("args differing only in word boundaries share a coalesce key")
 	}
 	// ClientID and TraceID are envelope, not payload: they must coalesce.
 	j := base

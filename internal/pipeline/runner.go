@@ -315,18 +315,17 @@ func (f *jobFlight) leave() {
 
 // coalesceKey is the identity under which in-flight jobs coalesce: the
 // compile cache key (name, source, inference options) plus everything that
-// changes what an execution produces — run mode, stdin, args, step limit,
-// tracing, profiling, and backend. Two jobs may share an execution only if
-// a cache hit could have served them the same payload; collapsing the key
-// to the cache key alone would hand a -backend=tree caller a vm result.
+// changes what an execution produces — the run mode and every RunOptions
+// field. Two jobs may share an execution only if a cache hit could have
+// served them the same payload; collapsing the key to the cache key alone
+// would hand a seed-99 caller the stdout of a seed-0 run. %#v renders
+// every field, so a new RunOptions field joins the key without an edit.
 func coalesceKey(job Job) string {
 	k := CacheKey(job.Name, job.Source, job.Options)
 	if !job.Run {
 		return fmt.Sprintf("%x|compile", k[:])
 	}
-	ro := job.RunOptions
-	return fmt.Sprintf("%x|run|%s|%x|%q|%d|%v|%d|%s",
-		k[:], job.Mode, ro.Stdin, ro.Args, ro.StepLimit, ro.Trace, ro.ProfilePeriod, ro.Backend)
+	return fmt.Sprintf("%x|run|%s|%#v", k[:], job.Mode, job.RunOptions)
 }
 
 // waitFlight waits for a shared execution on behalf of one participant,

@@ -10,10 +10,10 @@ import (
 	"gocured/internal/qual"
 )
 
-// Compile lowers every function of prog to bytecode. Functions the
-// compiler cannot lower (unexpected IR shapes) are skipped — the executor
-// falls back to the tree backend per function, so a partial module is
-// still semantically complete.
+// Compile lowers every function of prog to bytecode. The VM is the only
+// production engine, so every function must lower: an IR shape the compiler
+// does not handle is an internal compiler error, and Compile panics with
+// "vm: compile <fn>: <reason>".
 func Compile(prog *cil.Program, lay Layout) *Module {
 	mod := &Module{
 		Prog:   prog,
@@ -21,11 +21,7 @@ func Compile(prog *cil.Program, lay Layout) *Module {
 	}
 	globalIdx := make(map[*cil.Var]int32)
 	for _, fn := range prog.Funcs {
-		fc, err := compileFunc(fn, lay, mod, globalIdx)
-		if err != nil {
-			mod.Skipped = append(mod.Skipped, fn.Name)
-			continue
-		}
+		fc := compileFunc(fn, lay, mod, globalIdx)
 		mod.Funcs = append(mod.Funcs, fc)
 		mod.ByFunc[fn] = fc
 	}
@@ -34,26 +30,14 @@ func Compile(prog *cil.Program, lay Layout) *Module {
 	for _, fc := range mod.Funcs {
 		for i := range fc.Calls {
 			if f := fc.Calls[i].Fn; f != nil {
-				fc.Calls[i].FC = mod.ByFunc[f] // nil if skipped: tree fallback
+				fc.Calls[i].FC = mod.ByFunc[f]
 			}
 		}
 	}
 	return mod
 }
 
-// compileErr aborts one function's compilation.
-type compileErr struct{ msg string }
-
-func compileFunc(fn *cil.Func, lay Layout, mod *Module, globalIdx map[*cil.Var]int32) (fc *FuncCode, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ce, ok := r.(compileErr); ok {
-				err = fmt.Errorf("compile %s: %s", fn.Name, ce.msg)
-				return
-			}
-			err = fmt.Errorf("compile %s: %v", fn.Name, r)
-		}
-	}()
+func compileFunc(fn *cil.Func, lay Layout, mod *Module, globalIdx map[*cil.Var]int32) *FuncCode {
 	size, offsets := FrameLayout(fn, lay)
 	c := &fnCompiler{
 		fn:        fn,
@@ -80,7 +64,7 @@ func compileFunc(fn *cil.Func, lay Layout, mod *Module, globalIdx map[*cil.Var]i
 	if c.fc.NumRegs == 0 {
 		c.fc.NumRegs = 1
 	}
-	return c.fc, nil
+	return c.fc
 }
 
 type loopCtx struct {
@@ -119,8 +103,10 @@ type fnCompiler struct {
 	unIdx    map[UnInfo]int32
 }
 
+// fail aborts the compilation with an internal compiler error naming the
+// function being lowered.
 func (c *fnCompiler) fail(format string, args ...any) {
-	panic(compileErr{fmt.Sprintf(format, args...)})
+	panic(fmt.Sprintf("vm: compile %s: %s", c.fn.Name, fmt.Sprintf(format, args...)))
 }
 
 // ---- registers ----
@@ -806,8 +792,8 @@ func (c *fnCompiler) staticOffsets(lv *cil.Lvalue) (pOff, homeOff, homeSize int3
 	return int32(p), int32(hOff), int32(hSize), hasField, true
 }
 
-// localOff is the frame-slot offset of local v (compile failure — and so
-// tree fallback — when the layout has no slot for it).
+// localOff is the frame-slot offset of local v (an internal compiler error
+// when the layout has no slot for it).
 func (c *fnCompiler) localOff(v *cil.Var) int32 {
 	off, ok := c.offsets[v]
 	if !ok {

@@ -1,5 +1,5 @@
-// Package vm defines the flat register-style bytecode the cured
-// interpreter executes by default, and the compiler that produces it from
+// Package vm defines the flat register-style bytecode the interpreter
+// executes in production, and the compiler that produces it from
 // an instrumented CIL program.
 //
 // The tree-walking evaluator in internal/interp re-dispatches on Go node
@@ -17,10 +17,10 @@
 // The package owns the code format and the compiler only; the dispatch
 // loop lives in internal/interp (it needs the full machine state: memory,
 // counters, flight recorder, trap plumbing). Semantics are defined by the
-// tree backend: every opcode mirrors one evaluation step of the tree
-// walker exactly, including evaluation order, step/back-edge accounting,
-// lazy string interning, and trap messages. The differential fuzzer
-// enforces the equivalence.
+// tree walker, which stays as the test reference: every opcode mirrors one
+// evaluation step of the tree walker exactly, including evaluation order,
+// step/back-edge accounting, lazy string interning, and trap messages. The
+// differential fuzzer enforces the equivalence.
 package vm
 
 import (
@@ -221,8 +221,7 @@ type UnInfo struct {
 // executes (already converted to parameter types for direct calls).
 type CallInfo struct {
 	// Fn/FC name a defined function (OpCallFn); FC is linked after all
-	// functions compile and is nil when the callee fell back to the tree
-	// backend.
+	// functions compile.
 	Fn *cil.Func
 	FC *FuncCode
 	// Name is the callee for OpCallNamed (builtin wrapper or undefined).
@@ -263,9 +262,9 @@ type FuncCode struct {
 	Checks  []*cil.Check
 }
 
-// Module is a compiled program: one FuncCode per compilable function plus
-// the global-variable index table the executor binds to addresses once at
-// machine construction.
+// Module is a compiled program: one FuncCode per function of the program
+// plus the global-variable index table the executor binds to addresses once
+// at machine construction.
 type Module struct {
 	Prog   *cil.Program
 	Funcs  []*FuncCode
@@ -273,7 +272,4 @@ type Module struct {
 	// Globals lists every global referenced by compiled code; OpAddrGlobal
 	// operand B indexes it (the machine resolves each to an address once).
 	Globals []*cil.Var
-	// Skipped names functions the compiler could not lower (they run on
-	// the tree backend via the per-function fallback).
-	Skipped []string
 }
