@@ -25,65 +25,64 @@ type libcState struct {
 	ioSink   uint64
 }
 
-func builtinTable() map[string]builtinFn {
-	t := map[string]builtinFn{
-		// Allocation.
-		"malloc":  bMalloc,
-		"calloc":  bCalloc,
-		"realloc": bRealloc,
-		"free":    bFree,
+// builtinTable maps each library function to its implementation. It is
+// built once and shared read-only by every machine.
+var builtinTable = map[string]builtinFn{
+	// Allocation.
+	"malloc":  bMalloc,
+	"calloc":  bCalloc,
+	"realloc": bRealloc,
+	"free":    bFree,
 
-		// Memory.
-		"memcpy":  bMemcpy,
-		"memmove": bMemcpy,
-		"memset":  bMemset,
-		"memcmp":  bMemcmp,
+	// Memory.
+	"memcpy":  bMemcpy,
+	"memmove": bMemcpy,
+	"memset":  bMemset,
+	"memcmp":  bMemcmp,
 
-		// Strings.
-		"strlen":  bStrlen,
-		"strcpy":  bStrcpy,
-		"strncpy": bStrncpy,
-		"strcat":  bStrcat,
-		"strncat": bStrncat,
-		"strcmp":  bStrcmp,
-		"strncmp": bStrncmp,
-		"strchr":  bStrchr,
-		"strrchr": bStrrchr,
-		"strstr":  bStrstr,
-		"strdup":  bStrdup,
+	// Strings.
+	"strlen":  bStrlen,
+	"strcpy":  bStrcpy,
+	"strncpy": bStrncpy,
+	"strcat":  bStrcat,
+	"strncat": bStrncat,
+	"strcmp":  bStrcmp,
+	"strncmp": bStrncmp,
+	"strchr":  bStrchr,
+	"strrchr": bStrrchr,
+	"strstr":  bStrstr,
+	"strdup":  bStrdup,
 
-		// Stdio.
-		"printf":   bPrintf,
-		"sprintf":  bSprintf,
-		"snprintf": bSnprintf,
-		"puts":     bPuts,
-		"putchar":  bPutchar,
-		"getchar":  bGetchar,
+	// Stdio.
+	"printf":   bPrintf,
+	"sprintf":  bSprintf,
+	"snprintf": bSnprintf,
+	"puts":     bPuts,
+	"putchar":  bPutchar,
+	"getchar":  bGetchar,
 
-		// Stdlib.
-		"atoi":  bAtoi,
-		"abs":   bAbs,
-		"rand":  bRand,
-		"srand": bSrand,
-		"exit":  bExit,
-		"abort": bAbort,
-		"qsort": bQsort,
-		"sqrt":  bSqrt,
-		"time":  bTime,
-		"clock": bTime,
+	// Stdlib.
+	"atoi":  bAtoi,
+	"abs":   bAbs,
+	"rand":  bRand,
+	"srand": bSrand,
+	"exit":  bExit,
+	"abort": bAbort,
+	"qsort": bQsort,
+	"sqrt":  bSqrt,
+	"time":  bTime,
+	"clock": bTime,
 
-		// Library-compatibility demos (§4).
-		"gethostbyname": bGethostbyname,
-		"sim_recv":      bSimRecv,
-		"sim_send":      bSimSend,
+	// Library-compatibility demos (§4).
+	"gethostbyname": bGethostbyname,
+	"sim_recv":      bSimRecv,
+	"sim_send":      bSimSend,
 
-		// Wrapper helpers (§4.1).
-		"__ptrof":      bPtrof,
-		"__mkptr":      bMkptr,
-		"__verify_nul": bVerifyNul,
-		"__endof":      bEndof,
-	}
-	return t
+	// Wrapper helpers (§4.1).
+	"__ptrof":      bPtrof,
+	"__mkptr":      bMkptr,
+	"__verify_nul": bVerifyNul,
+	"__endof":      bEndof,
 }
 
 func arg(args []Value, i int) Value {

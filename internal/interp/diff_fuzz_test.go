@@ -58,10 +58,19 @@ func (g *progGen) next() uint64 {
 
 func (g *progGen) pick(n int) int { return int(g.next() % uint64(n)) }
 
-// expr emits an int-valued expression over the in-scope names.
+// scalars are the generated program's locals of the other integer
+// widths and signednesses: assignments to them wrap, and mixing them into
+// expressions makes comparisons unsigned and arithmetic 64-bit.
+var scalars = [...]string{"c0", "uc0", "s0", "u0", "ll0"}
+
+func (g *progGen) scalar() string { return scalars[g.pick(len(scalars))] }
+
+// expr emits an integer expression over the in-scope names.
 func (g *progGen) expr(depth int) string {
 	if depth <= 0 || g.pick(3) == 0 {
-		switch g.pick(8) {
+		switch g.pick(9) {
+		case 8:
+			return g.scalar()
 		case 0:
 			return fmt.Sprintf("%d", g.pick(100))
 		case 1:
@@ -82,7 +91,23 @@ func (g *progGen) expr(depth int) string {
 	}
 	a := g.expr(depth - 1)
 	b := g.expr(depth - 1)
-	switch g.pick(7) {
+	switch g.pick(14) {
+	case 7:
+		return fmt.Sprintf("(%s << ((%s) & 31))", a, b)
+	case 8:
+		// Constant counts of 32 and up exercise the interpreter's
+		// shift-count masking.
+		return fmt.Sprintf("(%s >> %d)", a, g.pick(70))
+	case 9:
+		return fmt.Sprintf("(%s & %s)", a, b)
+	case 10:
+		return fmt.Sprintf("(%s | %s)", a, b)
+	case 11:
+		return fmt.Sprintf("(%s <= %s)", a, b)
+	case 12:
+		return fmt.Sprintf("(%s >= %s)", a, b)
+	case 13:
+		return fmt.Sprintf("(%s %s %s)", a, [...]string{"==", "!="}[g.pick(2)], b)
 	case 0:
 		return fmt.Sprintf("(%s + %s)", a, b)
 	case 1:
@@ -102,7 +127,12 @@ func (g *progGen) expr(depth int) string {
 
 func (g *progGen) stmt(depth int) {
 	ind := strings.Repeat("    ", g.depth+1)
-	switch g.pick(14) {
+	switch g.pick(16) {
+	case 14:
+		// Narrowing store: wraps to the scalar's width.
+		fmt.Fprintf(&g.b, "%s%s = %s;\n", ind, g.scalar(), g.expr(depth))
+	case 15:
+		fmt.Fprintf(&g.b, "%s%s += %s;\n", ind, g.scalar(), g.expr(depth))
 	case 0:
 		fmt.Fprintf(&g.b, "%sv%d = %s;\n", ind, g.pick(3), g.expr(depth))
 	case 1:
@@ -213,6 +243,11 @@ int main(void) {
     int *p = arr;
     int *q = &v0;
     int i, acc = 0;
+    char c0 = -7;
+    unsigned char uc0 = 250;
+    short s0 = -300;
+    unsigned u0 = 4000000000;
+    long long ll0 = 5;
     for (i = 0; i < 8; i++) arr[i] = i * 5;
     tt.tag = 1; tt.extra = 2;
     for (i = 0; i < 4; i++) tt.data[i] = i + 10;
@@ -233,6 +268,7 @@ int main(void) {
 	g.b.WriteString(`
     acc += v0 + 2 * v1 + 3 * v2 + g0 + g1 + *p + *q;
     acc += sp->tag + tt.extra;
+    acc += c0 + uc0 + s0 + (int)u0 + (int)(ll0 ^ (ll0 >> 32));
     for (i = 0; i < 8; i++) acc = acc * 31 + arr[i];
     for (i = 0; i < 4; i++) acc = acc * 17 + tt.data[i];
     printf("%d\n", acc);

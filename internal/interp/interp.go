@@ -225,6 +225,9 @@ type Machine struct {
 
 	funcAddr   map[string]uint32
 	funcByAddr map[uint32]*cil.Func
+	// builtins is the shared builtinTable, read through the machine
+	// because the builtins themselves reach calls that look it up (a
+	// package-level reference would be an initialization cycle).
 	builtins   map[string]builtinFn
 	bltnByAddr map[uint32]string
 
@@ -424,7 +427,7 @@ func New(prog *cil.Program, cfg Config) *Machine {
 		}
 		m.sampleIn = m.samplePeriod
 	}
-	m.builtins = builtinTable()
+	m.builtins = builtinTable
 
 	if cfg.Backend == BackendVM {
 		if cfg.Code != nil {
@@ -532,11 +535,16 @@ func (m *Machine) trapf(kind, format string, args ...any) {
 	panic(trapPanic{t})
 }
 
-// check converts a memory error into a trap.
+// check converts a memory error into a trap. It stays small enough to
+// inline into every memory access; raise does the work.
 func (m *Machine) check(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		m.raise(err)
 	}
+}
+
+// raise unwinds the machine with err as a trap.
+func (m *Machine) raise(err error) {
 	if t, ok := err.(*mem.Trap); ok {
 		m.decorateTrap(t)
 		panic(trapPanic{t})

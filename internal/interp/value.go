@@ -7,6 +7,7 @@ import (
 	"gocured/internal/flight"
 	"gocured/internal/qual"
 	"gocured/internal/rtti"
+	"gocured/internal/vm"
 )
 
 // ValKind discriminates runtime values.
@@ -276,12 +277,18 @@ func (m *Machine) convertChecked(v Value, from, to *ctypes.Type, trusted bool) V
 	if from == nil || to == nil || from == to {
 		return v
 	}
-	if m.policy == PolicyCured && !trusted && v.K == VPtr && v.P != 0 &&
-		from.IsPointer() && to.IsPointer() {
-		kf, kt := m.lay.KindOf(from), m.lay.KindOf(to)
-		if (kf == qual.Seq || kf == qual.Wild) && (kt == qual.Safe || kt == qual.Rtti) {
-			m.narrowCheck(v, to)
-		}
+	cv := vm.NewConvInfo(m.lay, from, to, trusted)
+	return m.convertVia(v, &cv)
+}
+
+// convertVia performs a non-identity conversion whose pointer kinds are
+// already resolved: the VM resolves them when it compiles, the tree
+// walker in convertChecked.
+func (m *Machine) convertVia(v Value, cv *vm.ConvInfo) Value {
+	from, to, kf, kt := cv.From, cv.To, cv.FromKind, cv.ToKind
+	if m.policy == PolicyCured && !cv.Trusted && v.K == VPtr && v.P != 0 && to.IsPointer() &&
+		(kf == qual.Seq || kf == qual.Wild) && (kt == qual.Safe || kt == qual.Rtti) {
+		m.narrowCheck(v, to)
 	}
 	switch {
 	case to.IsInteger():
@@ -301,7 +308,6 @@ func (m *Machine) convertChecked(v Value, from, to *ctypes.Type, trusted bool) V
 			return Value{K: VPtr, P: uint32(v.AsInt())}
 		}
 		out := v
-		kf, kt := m.kindOfPtr(from), m.lay.KindOf(to)
 		if kt == qual.Seq && out.B == 0 && out.P != 0 && kf == qual.Safe {
 			// SAFE -> SEQ: the object is exactly one element.
 			out.B = out.P
@@ -356,14 +362,6 @@ func (m *Machine) narrowCheck(v Value, to *ctypes.Type) {
 		m.trapf("bounds", "conversion to %s out of bounds: p=0x%x not in [0x%x,0x%x-%d]",
 			to, v.P, v.B, end, size)
 	}
-}
-
-// kindOfPtr is KindOf with a fallback for non-pointer sources.
-func (m *Machine) kindOfPtr(t *ctypes.Type) qual.Kind {
-	if t != nil && t.IsPointer() {
-		return m.lay.KindOf(t)
-	}
-	return qual.Safe
 }
 
 type metaEntry struct {

@@ -197,7 +197,7 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 
 		case vm.OpConvert:
 			cv := &fc.Convs[in.C]
-			regs[in.A] = m.convertChecked(regs[in.B], cv.From, cv.To, cv.Trusted)
+			regs[in.A] = m.convertVia(regs[in.B], cv)
 		case vm.OpBin:
 			regs[in.A] = m.vmBin(&fc.Bins[in.D], &regs[in.B], &regs[in.C])
 		case vm.OpBinConst:
@@ -261,7 +261,7 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 			}
 			cv := &fc.Convs[in.D]
 			lv := m.vmLoad(addr, &fc.TyDescs[in.C], fc.Types[in.C])
-			regs[in.A] = m.convertChecked(lv, cv.From, cv.To, cv.Trusted)
+			regs[in.A] = m.convertVia(lv, cv)
 		case vm.OpStepLoadLocal:
 			m.cnt.Steps++
 			m.cnt.Cost++
@@ -295,7 +295,7 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 		case vm.OpConvStoreLocal:
 			cv := &fc.Convs[in.C]
 			m.vmStore(fr.base+uint32(in.A), &fc.TyDescs[in.D], fc.Types[in.D], fc.TySizes[in.D],
-				m.convertChecked(regs[in.B], cv.From, cv.To, cv.Trusted))
+				m.convertVia(regs[in.B], cv))
 		case vm.OpJumpFalseStep:
 			if !regs[in.B].Truthy() {
 				pc = int(in.A)
@@ -417,9 +417,14 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 func (m *Machine) vmLoad(addr uint32, d *vm.TyDesc, t *ctypes.Type) Value {
 	switch d.Kind {
 	case ctypes.Int:
-		i, err := m.mem.ReadInt(addr, int(d.Size), d.Signed)
+		if i, ok := m.mem.LoadInt(addr, int(d.Size), d.Signed); ok {
+			return IntVal(i)
+		}
+		// The fast path refused: ReadInt builds the same trap the tree's
+		// load does.
+		_, err := m.mem.ReadInt(addr, int(d.Size), d.Signed)
 		m.check(err)
-		return IntVal(i)
+		return Value{}
 	case ctypes.Float:
 		f, err := m.mem.ReadFloat(addr, int(d.Size))
 		m.check(err)
@@ -474,7 +479,9 @@ func (m *Machine) vmLoad(addr uint32, d *vm.TyDesc, t *ctypes.Type) Value {
 func (m *Machine) vmStore(addr uint32, d *vm.TyDesc, t *ctypes.Type, hook int32, v Value) {
 	switch d.Kind {
 	case ctypes.Int:
-		m.check(m.mem.WriteInt(addr, int(d.Size), v.AsInt()))
+		if i := v.AsInt(); !m.mem.StoreInt(addr, int(d.Size), i) {
+			m.check(m.mem.WriteInt(addr, int(d.Size), i))
+		}
 	case ctypes.Float:
 		m.check(m.mem.WriteFloat(addr, int(d.Size), v.AsFloat()))
 	case ctypes.Ptr:
@@ -531,7 +538,61 @@ func (m *Machine) vmStorePtr(addr uint32, d *vm.TyDesc, v Value) {
 // vmBin mirrors evalBinOp over precomputed operand facts. The operands
 // are passed by pointer (they are read-only): two Values exceed Go's
 // register-passing budget and would spill to the stack on every call.
+//
+// Integer operands of an integer-typed operation take a fast path that
+// switches straight to the operation: VInt operands make AsInt the
+// identity and cmpInts a plain compare, and IsInt makes the result
+// normalisation unconditional. Division and remainder (which trap) and
+// every other operand mix — pointers, floats — use the general path.
 func (m *Machine) vmBin(bi *vm.BinInfo, a, b *Value) Value {
+	if a.K == VInt && b.K == VInt && bi.IsInt {
+		x, y := a.I, b.I
+		var r int64
+		switch bi.Op {
+		case cil.OpAdd:
+			r = x + y
+		case cil.OpSub:
+			r = x - y
+		case cil.OpMul:
+			r = x * y
+		case cil.OpShl:
+			r = x << uint(y&63)
+		case cil.OpShr:
+			if bi.OpSigned {
+				r = x >> uint(y&63)
+			} else {
+				r = int64(uint32(x) >> uint(y&31))
+			}
+		case cil.OpBitAnd:
+			r = x & y
+		case cil.OpBitOr:
+			r = x | y
+		case cil.OpBitXor:
+			r = x ^ y
+		case cil.OpEq:
+			return boolVal(x == y)
+		case cil.OpNe:
+			return boolVal(x != y)
+		case cil.OpLt, cil.OpGt, cil.OpLe, cil.OpGe:
+			if !bi.OpSigned {
+				x, y = int64(uint32(x)), int64(uint32(y))
+			}
+			switch bi.Op {
+			case cil.OpLt:
+				return boolVal(x < y)
+			case cil.OpGt:
+				return boolVal(x > y)
+			case cil.OpLe:
+				return boolVal(x <= y)
+			}
+			return boolVal(x >= y)
+		default:
+			goto general
+		}
+		return IntVal(normInt(r, bi.Size, bi.TySigned))
+	}
+
+general:
 	switch bi.Op {
 	case cil.OpAddPI, cil.OpSubPI:
 		idx := b.AsInt()

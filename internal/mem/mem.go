@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -118,10 +119,13 @@ func align8(n uint32) uint32 { return (n + 7) &^ 7 }
 // real heap, instead of faulting at the arena edge.
 const allocSlack = 256
 
+// extend maps the arena up to address to. The bytes between the old
+// length and the capacity were never written (the arena only grows and
+// every access is bounded by its length), so one reslice after a single
+// slices.Grow yields zeroed memory.
 func (m *Memory) extend(to uint32) {
-	need := int(to)
-	for len(m.arena) < need {
-		m.arena = append(m.arena, 0)
+	if n := int(to) - len(m.arena); n > 0 {
+		m.arena = slices.Grow(m.arena, n)[:to]
 	}
 }
 
@@ -135,9 +139,7 @@ func (m *Memory) Alloc(size uint32, region Region, name string) *Block {
 	m.extend(addr + size + allocSlack)
 	// Zero the block (heap reuse does not occur, but slack may have been
 	// scribbled on by a past overflow).
-	for i := addr; i < addr+size; i++ {
-		m.arena[i] = 0
-	}
+	clear(m.arena[addr : addr+size])
 	m.brk = addr + size
 	b := &Block{ID: m.nextID, Addr: addr, Size: size, Region: region, Name: name}
 	m.nextID++
@@ -209,24 +211,33 @@ func (b *Block) SetTag(addr uint32, v uint8) {
 	}
 }
 
+// mapped reports whether the size bytes at addr lie in the arena and
+// outside the null page. It is small enough to inline, so hot paths test
+// it and build a trap (through inArena) only when it fails.
+func (m *Memory) mapped(addr, size uint32) bool {
+	return addr >= nullPage && uint64(addr)+uint64(size) <= uint64(len(m.arena))
+}
+
 // inArena checks a raw access; even raw mode cannot escape the arena or
 // touch the null page.
 func (m *Memory) inArena(addr, size uint32) error {
+	if m.mapped(addr, size) {
+		return nil
+	}
 	if addr < nullPage {
 		return NewTrap("segv", "access to address 0x%x in the null page", addr)
 	}
-	if int(addr)+int(size) > len(m.arena) {
-		return NewTrap("segv", "access to unmapped address 0x%x", addr)
-	}
-	return nil
+	return NewTrap("segv", "access to unmapped address 0x%x", addr)
 }
 
-// ReadInt loads a little-endian integer of the given byte size.
-func (m *Memory) ReadInt(addr uint32, size int, signed bool) (int64, error) {
-	if err := m.inArena(addr, uint32(size)); err != nil {
-		return 0, err
+// LoadInt is ReadInt's fast path: when the access is mapped and size is
+// a C integer width (1, 2, 4 or 8) it counts the load and returns the
+// value. Otherwise it reports false and touches nothing, and the caller
+// takes ReadInt for the trap.
+func (m *Memory) LoadInt(addr uint32, size int, signed bool) (int64, bool) {
+	if !m.mapped(addr, uint32(size)) {
+		return 0, false
 	}
-	m.Loads++
 	var u uint64
 	switch size {
 	case 1:
@@ -238,27 +249,32 @@ func (m *Memory) ReadInt(addr uint32, size int, signed bool) (int64, error) {
 	case 8:
 		u = binary.LittleEndian.Uint64(m.arena[addr:])
 	default:
-		return 0, NewTrap("access", "bad integer size %d", size)
+		return 0, false
 	}
-	if signed {
-		switch size {
-		case 1:
-			return int64(int8(u)), nil
-		case 2:
-			return int64(int16(u)), nil
-		case 4:
-			return int64(int32(u)), nil
-		}
+	m.Loads++
+	if sh := 64 - 8*uint(size); signed {
+		return int64(u<<sh) >> sh, true
 	}
-	return int64(u), nil
+	return int64(u), true
 }
 
-// WriteInt stores a little-endian integer of the given byte size.
-func (m *Memory) WriteInt(addr uint32, size int, v int64) error {
-	if err := m.inArena(addr, uint32(size)); err != nil {
-		return err
+// ReadInt loads a little-endian integer of the given byte size.
+func (m *Memory) ReadInt(addr uint32, size int, signed bool) (int64, error) {
+	if v, ok := m.LoadInt(addr, size, signed); ok {
+		return v, nil
 	}
-	m.Stores++
+	if err := m.inArena(addr, uint32(size)); err != nil {
+		return 0, err
+	}
+	m.Loads++
+	return 0, NewTrap("access", "bad integer size %d", size)
+}
+
+// StoreInt is WriteInt's fast path, the store-side twin of LoadInt.
+func (m *Memory) StoreInt(addr uint32, size int, v int64) bool {
+	if !m.mapped(addr, uint32(size)) {
+		return false
+	}
 	switch size {
 	case 1:
 		m.arena[addr] = byte(v)
@@ -269,9 +285,22 @@ func (m *Memory) WriteInt(addr uint32, size int, v int64) error {
 	case 8:
 		binary.LittleEndian.PutUint64(m.arena[addr:], uint64(v))
 	default:
-		return NewTrap("access", "bad integer size %d", size)
+		return false
 	}
-	return nil
+	m.Stores++
+	return true
+}
+
+// WriteInt stores a little-endian integer of the given byte size.
+func (m *Memory) WriteInt(addr uint32, size int, v int64) error {
+	if m.StoreInt(addr, size, v) {
+		return nil
+	}
+	if err := m.inArena(addr, uint32(size)); err != nil {
+		return err
+	}
+	m.Stores++
+	return NewTrap("access", "bad integer size %d", size)
 }
 
 // ReadFloat loads a float of byte size 4 or 8.
@@ -302,13 +331,21 @@ func (m *Memory) WriteFloat(addr uint32, size int, v float64) error {
 
 // ReadWord loads one 32-bit word (pointers).
 func (m *Memory) ReadWord(addr uint32) (uint32, error) {
-	v, err := m.ReadInt(addr, 4, false)
-	return uint32(v), err
+	if !m.mapped(addr, 4) {
+		return 0, m.inArena(addr, 4)
+	}
+	m.Loads++
+	return binary.LittleEndian.Uint32(m.arena[addr:]), nil
 }
 
 // WriteWord stores one 32-bit word.
 func (m *Memory) WriteWord(addr uint32, v uint32) error {
-	return m.WriteInt(addr, 4, int64(v))
+	if !m.mapped(addr, 4) {
+		return m.inArena(addr, 4)
+	}
+	m.Stores++
+	binary.LittleEndian.PutUint32(m.arena[addr:], v)
+	return nil
 }
 
 // Copy moves n bytes from src to dst (memmove semantics).

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -251,5 +252,125 @@ func TestAllocProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A block that forces the arena past its capacity reads all zero, even
+// where an earlier overflow scribbled on the slack it now covers.
+func TestAllocPastCapacityIsZeroed(t *testing.T) {
+	m := New()
+	a := m.Alloc(16, RegHeap, "a")
+	if err := m.SetBytes(a.End(), 0xAB, allocSlack); err != nil {
+		t.Fatalf("overflow into the slack must not trap: %v", err)
+	}
+	oldCap := cap(m.arena)
+	b := m.Alloc(uint32(4*oldCap), RegHeap, "big")
+	if cap(m.arena) <= oldCap {
+		t.Fatalf("arena did not grow: cap %d", cap(m.arena))
+	}
+	if b.Addr >= a.End()+allocSlack {
+		t.Fatalf("block at 0x%x does not cover the scribbled slack [0x%x,0x%x)", b.Addr, a.End(), a.End()+allocSlack)
+	}
+	bs, err := m.Bytes(b.Addr, b.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range bs {
+		if c != 0 {
+			t.Fatalf("byte %d of the new block is 0x%x, want 0", i, c)
+		}
+	}
+	if got := m.Size(); got != int(b.End())+allocSlack {
+		t.Errorf("arena length %d, want block end + slack = %d", got, int(b.End())+allocSlack)
+	}
+}
+
+// A raw overflow shorter than allocSlack past brk lands in mapped slack
+// and corrupts silently; the first byte past the slack is unmapped.
+func TestOverflowIntoSlack(t *testing.T) {
+	m := New()
+	b := m.Alloc(8, RegHeap, "b")
+	last := b.End() + allocSlack - 4
+	if err := m.WriteInt(last, 4, 77); err != nil {
+		t.Fatalf("overflow within the slack must not trap: %v", err)
+	}
+	if v, err := m.ReadInt(last, 4, true); err != nil || v != 77 {
+		t.Fatalf("slack word = %d, %v; want 77", v, err)
+	}
+	err := m.WriteInt(last+4, 1, 1)
+	if tr, ok := err.(*Trap); !ok || tr.Kind != "segv" {
+		t.Fatalf("write past the slack = %v, want a segv trap", err)
+	}
+}
+
+// Out-of-arena accesses trap with the same kind and message through every
+// entry point, and the fast paths refuse them without counting.
+func TestArenaTrapMessages(t *testing.T) {
+	m := New()
+	b := m.Alloc(8, RegHeap, "b")
+	past := uint32(m.Size())
+	cases := []struct {
+		addr uint32
+		msg  string
+	}{
+		{0, "access to address 0x0 in the null page"},
+		{nullPage - 1, "access to address 0x3f in the null page"},
+		{past, fmt.Sprintf("access to unmapped address 0x%x", past)},
+		{past - 2, fmt.Sprintf("access to unmapped address 0x%x", past-2)},
+	}
+	for _, c := range cases {
+		_, rerr := m.ReadInt(c.addr, 4, true)
+		_, werr := m.ReadWord(c.addr)
+		_, ferr := m.ReadFloat(c.addr, 4)
+		for _, err := range []error{rerr, werr, ferr, m.WriteInt(c.addr, 4, 1), m.WriteWord(c.addr, 1)} {
+			tr, ok := err.(*Trap)
+			if !ok || tr.Kind != "segv" || tr.Msg != c.msg {
+				t.Errorf("access at 0x%x: %v, want segv %q", c.addr, err, c.msg)
+			}
+		}
+		if _, ok := m.LoadInt(c.addr, 4, true); ok {
+			t.Errorf("LoadInt accepted 0x%x", c.addr)
+		}
+		if m.StoreInt(c.addr, 4, 1) {
+			t.Errorf("StoreInt accepted 0x%x", c.addr)
+		}
+	}
+	if m.Loads != 0 || m.Stores != 0 {
+		t.Errorf("trapping accesses counted: %d loads, %d stores", m.Loads, m.Stores)
+	}
+	// A mapped access of a width no C integer has traps after counting.
+	_, err := m.ReadInt(b.Addr, 3, false)
+	if tr, ok := err.(*Trap); !ok || tr.Kind != "access" || tr.Msg != "bad integer size 3" {
+		t.Errorf("3-byte read: %v", err)
+	}
+	if m.Loads != 1 {
+		t.Errorf("loads = %d, want the bad-size read counted", m.Loads)
+	}
+}
+
+// A frame popped and pushed again reads all zero.
+func TestRepushedFrameIsZeroed(t *testing.T) {
+	m := New()
+	m.InitStack(4096)
+	f, err := m.PushFrame(64, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetBytes(f.Addr, 0xCD, f.Size); err != nil {
+		t.Fatal(err)
+	}
+	m.PopFrame()
+	g, err := m.PushFrame(64, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Addr != f.Addr {
+		t.Fatalf("frame not reused: 0x%x vs 0x%x", g.Addr, f.Addr)
+	}
+	bs, _ := m.Bytes(g.Addr, g.Size)
+	for i, c := range bs {
+		if c != 0 {
+			t.Fatalf("byte %d of the re-pushed frame is 0x%x, want 0", i, c)
+		}
 	}
 }

@@ -34,9 +34,7 @@ func (m *Memory) PushFrame(size uint32, name string) (*Block, error) {
 		return nil, NewTrap("stack-overflow", "stack overflow pushing frame %q (%d bytes)", name, size)
 	}
 	// Zero the frame (locals read as 0 until initialized; see DESIGN.md).
-	for i := addr; i < addr+size; i++ {
-		m.arena[i] = 0
-	}
+	clear(m.arena[addr : addr+size])
 	b := &Block{ID: m.nextID, Addr: addr, Size: size, Region: RegStack, Name: name}
 	m.nextID++
 	m.stack = append(m.stack, b)

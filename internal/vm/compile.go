@@ -580,7 +580,7 @@ func (c *fnCompiler) conv(r int32, from, to *ctypes.Type, trusted bool) {
 	if from == nil || to == nil || from == to {
 		return
 	}
-	ci := c.convI(ConvInfo{From: from, To: to, Trusted: trusted})
+	ci := c.convI(NewConvInfo(c.lay, from, to, trusted))
 	if c.fusable() {
 		if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpLoad && last.A == r {
 			// Loaded-then-converted value (*p widened or cast): the raw

@@ -180,10 +180,28 @@ type Instr struct {
 }
 
 // ConvInfo is one interned conversion (Cast or implicit assignment
-// conversion): the occurrence types and whether the cast was trusted.
+// conversion): the occurrence types, whether the cast was trusted, and
+// the pointer kinds the conversion dispatches on (Safe for a non-pointer
+// type). The compiler resolves the kinds once, so executing the
+// conversion never queries the qualifier graph.
 type ConvInfo struct {
-	From, To *ctypes.Type
-	Trusted  bool
+	From, To         *ctypes.Type
+	Trusted          bool
+	FromKind, ToKind qual.Kind
+}
+
+// NewConvInfo describes the conversion from `from` to `to` under lay.
+func NewConvInfo(lay Layout, from, to *ctypes.Type, trusted bool) ConvInfo {
+	return ConvInfo{From: from, To: to, Trusted: trusted,
+		FromKind: ptrKind(lay, from), ToKind: ptrKind(lay, to)}
+}
+
+// ptrKind is lay's pointer kind of t, Safe for a non-pointer.
+func ptrKind(lay Layout, t *ctypes.Type) qual.Kind {
+	if t.IsPointer() {
+		return lay.KindOf(t)
+	}
+	return qual.Safe
 }
 
 // BinInfo is one interned binary operation with everything evalBinOp
