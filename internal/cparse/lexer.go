@@ -1,7 +1,6 @@
 package cparse
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -446,7 +445,7 @@ func (lx *Lexer) lexOperator(tok Token) Token {
 			"unexpected character %q", c)
 		return lx.Next()
 	}
-	tok.Text = fmt.Sprintf("%s", tok.Kind)
+	tok.Text = tok.Kind.String()
 	return tok
 }
 

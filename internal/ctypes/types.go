@@ -481,3 +481,63 @@ func walk(t *Type, f func(*Type), seen map[*StructInfo]bool) {
 		}
 	}
 }
+
+// OnceWalker applies f to every type reachable from a sequence of roots,
+// once per occurrence over the walker's lifetime. Each Walk visits in
+// Walk's pre-order, so the first visit of every occurrence happens at the
+// same point as in a sequence of fresh Walks; what it skips is exactly the
+// repeated visits. An occurrence is skipped only once its whole reachable
+// graph has been visited, and an incomplete struct is never marked done.
+type OnceWalker struct {
+	f       func(*Type)
+	state   map[*Type]uint8
+	structs map[*StructInfo]bool
+}
+
+// Occurrence states of a OnceWalker.
+const (
+	walkVisited uint8 = 1 + iota // f applied, descent in progress
+	walkDone                     // f applied to the whole reachable graph
+)
+
+// NewOnceWalker returns a walker that applies f.
+func NewOnceWalker(f func(*Type)) *OnceWalker {
+	return &OnceWalker{f: f, state: make(map[*Type]uint8), structs: make(map[*StructInfo]bool)}
+}
+
+// Walk applies f to every occurrence reachable from t not yet visited.
+func (w *OnceWalker) Walk(t *Type) {
+	if t == nil {
+		return
+	}
+	switch w.state[t] {
+	case walkDone:
+		return
+	case 0:
+		w.state[t] = walkVisited
+		w.f(t)
+	}
+	// A visited occurrence met again mid-walk (through a struct cycle)
+	// descends again, as a fresh Walk would: an in-progress function
+	// signature may lead to parameters the first descent has not reached.
+	switch t.Kind {
+	case Ptr, Array:
+		w.Walk(t.Elem)
+	case Struct:
+		if !t.SU.Complete {
+			return
+		}
+		if !w.structs[t.SU] {
+			w.structs[t.SU] = true
+			for _, fl := range t.SU.Fields {
+				w.Walk(fl.Type)
+			}
+		}
+	case Func:
+		w.Walk(t.Fn.Ret)
+		for _, p := range t.Fn.Params {
+			w.Walk(p)
+		}
+	}
+	w.state[t] = walkDone
+}

@@ -9,46 +9,82 @@ import (
 
 // regType registers qualifier nodes for every pointer/array occurrence in
 // t's reachable type graph, records base-containment edges for WILD
-// spreading, and registers pointer base types in the RTTI hierarchy.
+// spreading, and registers pointer base types in the RTTI hierarchy. The
+// inference's one registration walker visits each occurrence once, so a
+// type seen again (every expression of it) costs a map lookup.
 func (in *inferrer) regType(t *ctypes.Type) {
 	if t == nil {
 		return
 	}
-	if in.rec != nil && hasQualOcc(t) {
+	if in.rec != nil && in.hasQualOcc(t) {
 		// Pure-scalar registrations are graph no-ops and are not recorded,
 		// so summaries never reference (possibly shared) scalar types.
 		in.rec.reg(t)
 	}
-	ctypes.Walk(t, func(u *ctypes.Type) {
-		if u.Kind != ctypes.Ptr && u.Kind != ctypes.Array {
-			return
-		}
-		n := in.g.NodeFor(u)
-		if u.Kind == ctypes.Ptr && u.Elem.Kind != ctypes.Func {
-			in.hier.Of(u.Elem)
-		}
-		// A decayed pointer is the same inference node as its array.
-		if u.DecayOf != nil {
-			in.g.UnionR(n, in.g.NodeFor(u.DecayOf), "decay", diag.Pos{})
-		}
-		// Base containment: pointer occurrences in the representation of
-		// the pointee (not through further pointers).
-		for _, b := range repPointers(u.Elem) {
-			in.g.AddBase(n, in.g.NodeFor(b))
-		}
-	})
+	in.reg.Walk(t)
+}
+
+// regOcc registers one pointer/array occurrence.
+func (in *inferrer) regOcc(u *ctypes.Type) {
+	if u.Kind != ctypes.Ptr && u.Kind != ctypes.Array {
+		return
+	}
+	n := in.g.NodeFor(u)
+	if u.Kind == ctypes.Ptr && u.Elem.Kind != ctypes.Func {
+		in.hier.Of(u.Elem)
+	}
+	// A decayed pointer is the same inference node as its array.
+	if u.DecayOf != nil {
+		in.g.UnionR(n, in.g.NodeFor(u.DecayOf), "decay", diag.Pos{})
+	}
+	// Base containment: pointer occurrences in the representation of
+	// the pointee (not through further pointers).
+	for _, b := range repPointers(u.Elem) {
+		in.g.AddBase(n, in.g.NodeFor(b))
+	}
 }
 
 // hasQualOcc reports whether t's reachable type graph contains any
 // pointer/array occurrence (i.e. whether regType on it does anything).
-func hasQualOcc(t *ctypes.Type) bool {
-	found := false
-	ctypes.Walk(t, func(u *ctypes.Type) {
-		if u.Kind == ctypes.Ptr || u.Kind == ctypes.Array {
-			found = true
+// It stops at the first pointer or array, so it descends only through
+// by-value structs and signatures; each complete struct's answer is
+// computed once per inference.
+func (in *inferrer) hasQualOcc(t *ctypes.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Kind {
+	case ctypes.Ptr, ctypes.Array:
+		return true
+	case ctypes.Struct:
+		if !t.SU.Complete {
+			return false
 		}
-	})
-	return found
+		has, ok := in.qualSU[t.SU]
+		if !ok {
+			// A struct cannot contain itself by value; the placeholder
+			// only guards against malformed input.
+			in.qualSU[t.SU] = false
+			for _, f := range t.SU.Fields {
+				if in.hasQualOcc(f.Type) {
+					has = true
+					break
+				}
+			}
+			in.qualSU[t.SU] = has
+		}
+		return has
+	case ctypes.Func:
+		if in.hasQualOcc(t.Fn.Ret) {
+			return true
+		}
+		for _, p := range t.Fn.Params {
+			if in.hasQualOcc(p) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // repPointers returns the pointer/array occurrences contained in the

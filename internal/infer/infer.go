@@ -153,10 +153,14 @@ type inferrer struct {
 	// rec, when non-nil, captures the current function's collection pass
 	// as a replayable summary (see summary.go). Plain Infer never sets it.
 	rec *recorder
+	// reg applies regOcc once per type occurrence for the whole inference.
+	reg *ctypes.OnceWalker
+	// qualSU memoizes hasQualOcc per complete struct.
+	qualSU map[*ctypes.StructInfo]bool
 }
 
 func newInferrer(prog *cil.Program, opts Options, diags *diag.List) *inferrer {
-	return &inferrer{
+	in := &inferrer{
 		prog:      prog,
 		diags:     diags,
 		opts:      opts,
@@ -164,7 +168,10 @@ func newInferrer(prog *cil.Program, opts Options, diags *diag.List) *inferrer {
 		hier:      rtti.NewHierarchy(),
 		castOf:    make(map[*cil.Cast]*CastSite),
 		allocRets: make(map[*ctypes.Type]bool),
+		qualSU:    make(map[*ctypes.StructInfo]bool),
 	}
+	in.reg = ctypes.NewOnceWalker(in.regOcc)
+	return in
 }
 
 // prologue runs everything that precedes per-function constraint

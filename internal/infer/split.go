@@ -86,6 +86,9 @@ type splitInf struct {
 	diags    *diag.List
 	splitAll bool
 	res      *SplitResult
+	// reg applies regSplitOcc once per type occurrence reachable from
+	// the declarations and the unified types.
+	reg *ctypes.OnceWalker
 }
 
 // inferSplit runs split inference after kind inference. With splitAll the
@@ -102,6 +105,7 @@ func inferSplit(prog *cil.Program, g *qual.Graph, splitAll bool, diags *diag.Lis
 			metaMemo: make(map[*ctypes.Type]int8),
 		},
 	}
+	si.reg = ctypes.NewOnceWalker(si.regSplitOcc)
 	si.collect()
 	si.propagate()
 	si.res.computeStats(g)
@@ -162,44 +166,39 @@ func (si *splitInf) union(a, b *snode) {
 	ra.down = append(ra.down, rb.down...)
 }
 
-// regSplitType builds split nodes and downward edges for every occurrence
-// in t: pointer -> base, struct -> fields, array -> element.
-func (si *splitInf) regSplitType(t *ctypes.Type) {
-	if t == nil {
-		return
-	}
-	ctypes.Walk(t, func(u *ctypes.Type) {
-		n := si.node(u)
-		switch u.Kind {
-		case ctypes.Ptr, ctypes.Array:
-			n.down = append(n.down, si.node(u.Elem))
-		case ctypes.Struct:
-			if u.SU.Complete {
-				for _, f := range u.SU.Fields {
-					n.down = append(n.down, si.node(f.Type))
-				}
+// regSplitOcc builds the split node and downward edges of one occurrence:
+// pointer -> base, struct -> fields, array -> element.
+func (si *splitInf) regSplitOcc(u *ctypes.Type) {
+	n := si.node(u)
+	switch u.Kind {
+	case ctypes.Ptr, ctypes.Array:
+		n.down = append(n.down, si.node(u.Elem))
+	case ctypes.Struct:
+		if u.SU.Complete {
+			for _, f := range u.SU.Fields {
+				n.down = append(n.down, si.node(f.Type))
 			}
 		}
-	})
+	}
 }
 
 func (si *splitInf) collect() {
 	for _, g := range si.prog.Globals {
-		si.regSplitType(g.Var.Type)
-		si.regSplitType(g.Var.AddrType)
+		si.reg.Walk(g.Var.Type)
+		si.reg.Walk(g.Var.AddrType)
 	}
 	for _, v := range si.prog.Externs {
-		si.regSplitType(v.Type)
+		si.reg.Walk(v.Type)
 	}
 	for _, f := range si.prog.Funcs {
-		si.regSplitType(f.Type)
+		si.reg.Walk(f.Type)
 		for _, p := range f.Params {
-			si.regSplitType(p.Type)
-			si.regSplitType(p.AddrType)
+			si.reg.Walk(p.Type)
+			si.reg.Walk(p.AddrType)
 		}
 		for _, l := range f.Locals {
-			si.regSplitType(l.Type)
-			si.regSplitType(l.AddrType)
+			si.reg.Walk(l.Type)
+			si.reg.Walk(l.AddrType)
 		}
 		si.collectFunc(f)
 	}
@@ -212,8 +211,8 @@ func (si *splitInf) collectFunc(f *cil.Func) {
 		if a == nil || b == nil {
 			return
 		}
-		si.regSplitType(a)
-		si.regSplitType(b)
+		si.reg.Walk(a)
+		si.reg.Walk(b)
 		si.union(si.node(a), si.node(b))
 		if a.IsPointer() && b.IsPointer() {
 			si.union(si.node(a.Elem), si.node(b.Elem))

@@ -44,7 +44,7 @@ func (s *memSource) Save(sum *FuncSummary, fn string, body, decls [sha256.Size]b
 }
 
 // lower runs the frontend on src, failing the test on errors.
-func lower(t *testing.T, name, src string) (*cil.Program, *diag.List) {
+func lower(t testing.TB, name, src string) (*cil.Program, *diag.List) {
 	t.Helper()
 	var d diag.List
 	file := cparse.Parse(name, src, &d)

@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"gocured/internal/cil"
@@ -204,13 +205,14 @@ func keyExpr(b *strings.Builder, e cil.Expr) {
 	switch x := e.(type) {
 	case nil:
 	case *cil.Const:
-		fmt.Fprintf(b, "c%d", x.I)
+		writeInt(b, "c", x.I)
 	case *cil.FConst:
 		fmt.Fprintf(b, "f%g", x.F)
 	case *cil.StrConst:
 		fmt.Fprintf(b, "s%q", x.S)
 	case *cil.FnConst:
-		fmt.Fprintf(b, "fn:%s", x.Name)
+		b.WriteString("fn:")
+		b.WriteString(x.Name)
 	case *cil.SizeOf:
 		fmt.Fprintf(b, "sz%p", x.Of)
 	case *cil.Lval:
@@ -219,13 +221,15 @@ func keyExpr(b *strings.Builder, e cil.Expr) {
 		b.WriteByte('&')
 		keyLval(b, x.LV)
 	case *cil.BinOp:
-		fmt.Fprintf(b, "(%d ", int(x.Op))
+		writeInt(b, "(", int64(x.Op))
+		b.WriteByte(' ')
 		keyExpr(b, x.A)
 		b.WriteByte(' ')
 		keyExpr(b, x.B)
 		b.WriteByte(')')
 	case *cil.UnOp:
-		fmt.Fprintf(b, "(u%d ", int(x.Op))
+		writeInt(b, "(u", int64(x.Op))
+		b.WriteByte(' ')
 		keyExpr(b, x.X)
 		b.WriteByte(')')
 	case *cil.Cast:
@@ -240,9 +244,9 @@ func keyExpr(b *strings.Builder, e cil.Expr) {
 func keyLval(b *strings.Builder, lv *cil.Lvalue) {
 	if lv.Var != nil {
 		if lv.Var.Global {
-			fmt.Fprintf(b, "g%d", lv.Var.ID)
+			writeInt(b, "g", int64(lv.Var.ID))
 		} else {
-			fmt.Fprintf(b, "l%d", lv.Var.ID)
+			writeInt(b, "l", int64(lv.Var.ID))
 		}
 	} else {
 		b.WriteString("(*")
@@ -251,7 +255,8 @@ func keyLval(b *strings.Builder, lv *cil.Lvalue) {
 	}
 	for _, o := range lv.Offset {
 		if o.Field != nil {
-			fmt.Fprintf(b, ".%s", o.Field.Name)
+			b.WriteByte('.')
+			b.WriteString(o.Field.Name)
 		} else {
 			b.WriteByte('[')
 			keyExpr(b, o.Index)
@@ -260,11 +265,19 @@ func keyLval(b *strings.Builder, lv *cil.Lvalue) {
 	}
 }
 
+// writeInt writes prefix and the decimal form of v.
+func writeInt(b *strings.Builder, prefix string, v int64) {
+	var buf [20]byte
+	b.WriteString(prefix)
+	b.Write(strconv.AppendInt(buf[:0], v, 10))
+}
+
 func factKey(c *cil.Check) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", int(c.Kind))
+	writeInt(&b, "", int64(c.Kind))
+	b.WriteByte('|')
 	keyExpr(&b, c.Ptr)
-	fmt.Fprintf(&b, "|%d", c.Size)
+	writeInt(&b, "|", int64(c.Size))
 	if c.RttiTarget != nil {
 		fmt.Fprintf(&b, "|%p", c.RttiTarget)
 	}
