@@ -3,7 +3,7 @@
 // (optionally) the result of executing the cured program in a chosen mode.
 //
 //	ccserve [-addr :8080] [-j N] [-cache N] [-step-limit N] [-timeout D]
-//	        [-queue-depth N] [-coalesce] [-client-header NAME]
+//	        [-queue-depth N] [-client-header NAME]
 //
 // Endpoints:
 //
@@ -33,8 +33,8 @@
 // wait for worker slots, fair-queued per client (the -client-header value,
 // default X-Client-Id, falling back to the remote address). Excess load is
 // rejected with 429 and a Retry-After header computed from the queue depth
-// and the observed service rate; identical concurrent requests coalesce
-// onto one execution (-coalesce, on by default).
+// and the observed service rate; identical concurrent requests always
+// coalesce onto one execution.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // are drained before exit.
@@ -814,7 +814,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "persistent artifact store directory; compiles survive restarts (empty = memory cache only)")
 	traceBuffer := flag.Int("trace-buffer", trace.DefaultBufferEntries, "request traces kept for GET /traces/{id} (negative disables)")
 	queueDepth := flag.Int("queue-depth", 256, "admission queue bound; excess load is shed with 429 (0 = unbounded)")
-	coalesce := flag.Bool("coalesce", true, "coalesce identical in-flight jobs onto one execution")
 	clientHeader := flag.String("client-header", DefaultClientHeader, "request header carrying the fair-queue client ID")
 	histInterval := flag.Duration("history-interval", 10*time.Second, "metrics history sampling interval (0 disables history, SLOs, and /debug/dash)")
 	histRetention := flag.Duration("history-retention", time.Hour, "metrics history retention window")
@@ -840,7 +839,7 @@ func main() {
 		Store:              arts,
 		TraceBufferEntries: *traceBuffer,
 		QueueDepth:         *queueDepth,
-		CoalesceJobs:       *coalesce,
+		CoalesceJobs:       true,
 	})
 	expvar.Publish("gocured_pipeline", runner.ExpvarVar())
 

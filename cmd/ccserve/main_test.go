@@ -982,6 +982,69 @@ func TestCureShedResponse(t *testing.T) {
 	}
 }
 
+// TestCureCoalescing pins request coalescing at the HTTP level: two
+// identical concurrent /cure requests cost one execution, one reply is
+// marked "tier": "coalesced", and the coalesced counter shows it.
+func TestCureCoalescing(t *testing.T) {
+	gate := pipeline.NewStallGate()
+	tracker := &pipeline.ExecTracker{}
+	r := pipeline.NewRunner(pipeline.RunnerOptions{
+		Workers:      2,
+		CoalesceJobs: true,
+		Faults:       &pipeline.Faults{OnExecute: tracker.Begin, OnDone: tracker.End, ExecGate: gate.Gate},
+	})
+	s := newServer(r, serverConfig{MaxBytes: 1 << 20})
+	s.markReady()
+
+	body := `{"name":"same.c","source":"int main(void){ return 3; }","run":true}`
+	done := make(chan *httptest.ResponseRecorder, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cure", strings.NewReader(body)))
+			done <- rec
+		}()
+	}
+	if !gate.WaitArrived(1, 5*time.Second) {
+		t.Fatal("no request reached the worker")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Metrics().Coalesced != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never coalesced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gate.ReleaseAll()
+
+	tiers := map[string]int{}
+	for i := 0; i < 2; i++ {
+		rec := <-done
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp CureResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Run == nil || resp.Run.ExitCode != 3 {
+			t.Fatalf("run = %+v, want exit code 3", resp.Run)
+		}
+		tiers[resp.Tier]++
+	}
+	if tiers["coalesced"] != 1 {
+		t.Errorf("reply tiers = %v, want exactly one coalesced", tiers)
+	}
+	if n := tracker.Total(); n != 1 {
+		t.Errorf("%d executions for two identical requests, want 1", n)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics/prometheus", nil))
+	if !strings.Contains(rec.Body.String(), "gocured_coalesced_total 1\n") {
+		t.Error("exposition missing gocured_coalesced_total 1")
+	}
+}
+
 // TestClientIDAttribution pins how requests map to fair-queue clients:
 // the configured header wins, then the remote host without its port, then
 // the raw remote address.

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -88,10 +87,13 @@ type waiter struct {
 	seq    uint64  // global enqueue order, the deterministic tie-break
 	ready  chan struct{}
 	// granted/gone are written under the admitter mutex and resolve the
-	// race between a grant and a cancellation: exactly one side wins.
+	// race between a grant and a withdrawal: exactly one side wins and
+	// closes ready.
 	granted bool
 	gone    bool
 	traceID string
+	enq     time.Time // arrival, the start of the queue wait
+	depth   int64     // queue depth the job observed on arrival
 }
 
 // clientQ is one client's FIFO of waiting jobs plus its SFQ state.
@@ -172,19 +174,18 @@ func (a *admitter) RetryAfter() time.Duration {
 	return a.retryAfterLocked()
 }
 
-// admit blocks until the job holds a worker slot, the context is
-// cancelled, or admission control sheds it. On success the caller MUST
-// release() the slot when execution finishes. The returned duration is the
-// queue wait.
-func (a *admitter) admit(ctx context.Context, clientID, traceID string) (time.Duration, error) {
-	enq := time.Now()
+// arrive makes a job's arrival-time decision, on the caller's goroutine:
+// a free slot (a nil waiter), a shed, or a place in the queue to wait on.
+// deadline (zero = none) is the caller's remaining budget. A job holding a
+// slot MUST release() it when execution finishes.
+func (a *admitter) arrive(deadline time.Time, clientID, traceID string) (*waiter, error) {
 	a.mu.Lock()
 	// Fast path: a free slot and an empty queue — no policy applies.
 	if a.slots > 0 && a.queued == 0 {
 		a.slots--
 		a.mu.Unlock()
 		a.m.queueAdmitted(1, 0, traceID, false)
-		return 0, nil
+		return nil, nil
 	}
 	// Shed before queueing: a rejected job never occupies a slot in the
 	// bounded queue and never appears in the queue-depth gauge.
@@ -192,14 +193,14 @@ func (a *admitter) admit(ctx context.Context, clientID, traceID string) (time.Du
 		err := &ShedError{Reason: ShedQueueFull, RetryAfter: a.retryAfterLocked()}
 		a.mu.Unlock()
 		a.m.jobShed(ShedQueueFull, traceID)
-		return 0, err
+		return nil, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if p50 := a.svc.p50(); p50 > 0 && time.Until(dl) < p50 {
+	if !deadline.IsZero() {
+		if p50 := a.svc.p50(); p50 > 0 && time.Until(deadline) < p50 {
 			err := &ShedError{Reason: ShedDeadline, RetryAfter: a.retryAfterLocked()}
 			a.mu.Unlock()
 			a.m.jobShed(ShedDeadline, traceID)
-			return 0, err
+			return nil, err
 		}
 	}
 	c := a.clientLocked(clientID)
@@ -207,43 +208,53 @@ func (a *admitter) admit(ctx context.Context, clientID, traceID string) (time.Du
 	if c.lastFinish > start {
 		start = c.lastFinish
 	}
-	w := &waiter{client: c, finish: start + 1/c.weight, seq: a.seq, ready: make(chan struct{}), traceID: traceID}
+	w := &waiter{client: c, finish: start + 1/c.weight, seq: a.seq, ready: make(chan struct{}), traceID: traceID,
+		enq: time.Now()}
 	a.seq++
 	c.lastFinish = w.finish
 	c.waiters = append(c.waiters, w)
 	c.depth++
 	a.queued++
-	depth := int64(a.queued)
+	w.depth = int64(a.queued)
 	// A slot may be free with a non-empty queue (it was just released and
 	// granted us, or cancellations emptied the queue out from under a
 	// release); dispatch now so the queue never idles with capacity free.
 	a.dispatchLocked()
 	a.mu.Unlock()
-	a.m.queueEnter()
+	a.m.update(func(acc *Metrics) { acc.QueueDepthNow++ })
+	return w, nil
+}
 
-	select {
-	case <-w.ready:
-		wait := time.Since(enq)
-		a.m.queueAdmitted(depth, wait, traceID, true)
-		return wait, nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		if w.granted {
-			// The grant raced our cancellation and won a slot for us; we are
-			// not going to use it, so hand it to the next waiter (or free it).
-			a.slots++
-			a.dispatchLocked()
-			a.mu.Unlock()
-			a.m.queueCancelled()
-			return 0, ctx.Err()
-		}
-		w.gone = true
-		w.client.depth--
-		a.queued--
-		a.mu.Unlock()
-		a.m.queueCancelled()
-		return 0, ctx.Err()
+// wait blocks until a queued job holds a worker slot or is withdrawn,
+// and returns the queue wait and whether the slot is held. A nil waiter
+// got its slot on arrival.
+func (a *admitter) wait(w *waiter) (time.Duration, bool) {
+	if w == nil {
+		return 0, true
 	}
+	<-w.ready
+	if w.gone {
+		return 0, false
+	}
+	wait := time.Since(w.enq)
+	a.m.queueAdmitted(w.depth, wait, w.traceID, true)
+	return wait, true
+}
+
+// withdraw takes a job that is still queued out of the queue and wakes its
+// wait; by the time it returns, the queue gauges no longer count the job.
+// A job already granted its slot keeps it.
+func (a *admitter) withdraw(w *waiter) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if w == nil || w.granted || w.gone {
+		return
+	}
+	w.gone = true
+	w.client.depth--
+	a.queued--
+	close(w.ready)
+	a.m.update(func(acc *Metrics) { acc.QueueDepthNow-- })
 }
 
 // dispatchLocked grants free slots to waiting jobs, smallest SFQ finish

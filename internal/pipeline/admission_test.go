@@ -140,57 +140,64 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 // estimator knows p50 service time, a job whose remaining deadline cannot
 // cover it is shed instead of queued — and without enough samples the
 // policy never fires (a cold server must not reject on garbage estimates).
+// Both legs must shed: with coalescing on, the shared execution runs on a
+// detached context, yet admission still judges the caller's deadline.
 func TestAdmissionDeadlineShed(t *testing.T) {
-	gate := NewStallGate()
-	r := NewRunner(RunnerOptions{Workers: 1, QueueDepth: 8, Faults: &Faults{ExecGate: gate.Gate}})
+	for _, coalesce := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
+			gate := NewStallGate()
+			r := NewRunner(RunnerOptions{Workers: 1, QueueDepth: 8, CoalesceJobs: coalesce,
+				Faults: &Faults{ExecGate: gate.Gate}})
 
-	// Cold estimator: a short deadline alone must not shed (the job should
-	// queue/admit normally while the worker is free).
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	done := make(chan *JobResult, 1)
-	go func() { done <- r.Do(ctx, Job{Name: "cold.c", Source: uniqueSource("dl", 0)}) }()
-	if !gate.WaitArrived(1, 5*time.Second) {
-		t.Fatal("cold-estimator job never admitted")
-	}
+			// Cold estimator: a short deadline alone must not shed (the job should
+			// queue/admit normally while the worker is free).
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			done := make(chan *JobResult, 1)
+			go func() { done <- r.Do(ctx, Job{Name: "cold.c", Source: uniqueSource("dl", 0)}) }()
+			if !gate.WaitArrived(1, 5*time.Second) {
+				t.Fatal("cold-estimator job never admitted")
+			}
 
-	// Prime p50 = 50ms; with the worker occupied, a 5ms-deadline job must
-	// shed with reason "deadline" before entering the queue.
-	primeSvc(r, 50*time.Millisecond)
-	shortCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel2()
-	res := r.Do(shortCtx, Job{Name: "late.c", Source: uniqueSource("dl", 1)})
-	var shed *ShedError
-	if !errors.As(res.Err, &shed) || shed.Reason != ShedDeadline {
-		t.Fatalf("expected deadline shed, got %v", res.Err)
-	}
-	// Retry-After derives from queue drain time at p50: (queued+1)/workers
-	// * p50 = 50ms with an empty queue.
-	if shed.RetryAfter != 50*time.Millisecond {
-		t.Fatalf("Retry-After = %v, want 50ms", shed.RetryAfter)
-	}
-	if m := r.Metrics(); m.ShedByReason[ShedDeadline] != 1 {
-		t.Fatalf("shed_by_reason = %v, want deadline:1", m.ShedByReason)
-	}
+			// Prime p50 = 50ms; with the worker occupied, a 5ms-deadline job must
+			// shed with reason "deadline" before entering the queue.
+			primeSvc(r, 50*time.Millisecond)
+			shortCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel2()
+			res := r.Do(shortCtx, Job{Name: "late.c", Source: uniqueSource("dl", 1)})
+			var shed *ShedError
+			if !errors.As(res.Err, &shed) || shed.Reason != ShedDeadline {
+				t.Fatalf("expected deadline shed, got %v", res.Err)
+			}
+			// Retry-After derives from queue drain time at p50: (queued+1)/workers
+			// * p50 = 50ms with an empty queue.
+			if shed.RetryAfter != 50*time.Millisecond {
+				t.Fatalf("Retry-After = %v, want 50ms", shed.RetryAfter)
+			}
+			if m := r.Metrics(); m.ShedByReason[ShedDeadline] != 1 {
+				t.Fatalf("shed_by_reason = %v, want deadline:1", m.ShedByReason)
+			}
 
-	// A job with a comfortable deadline still queues.
-	okCtx, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel3()
-	done2 := make(chan *JobResult, 1)
-	go func() { done2 <- r.Do(okCtx, Job{Name: "fine.c", Source: uniqueSource("dl", 2)}) }()
-	waitCond(t, 5*time.Second, func() bool { return r.Metrics().QueueDepthNow == 1 }, "queued job")
+			// A job with a comfortable deadline still queues.
+			okCtx, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel3()
+			done2 := make(chan *JobResult, 1)
+			go func() { done2 <- r.Do(okCtx, Job{Name: "fine.c", Source: uniqueSource("dl", 2)}) }()
+			waitCond(t, 5*time.Second, func() bool { return r.Metrics().QueueDepthNow == 1 }, "queued job")
 
-	gate.Release(1)
-	if res := <-done; res.Err != nil {
-		t.Fatalf("cold job failed: %v", res.Err)
-	}
-	// The queued job only reaches the gate after the first frees the slot.
-	if !gate.WaitArrived(2, 5*time.Second) {
-		t.Fatal("queued job never dispatched")
-	}
-	gate.Release(1)
-	if res := <-done2; res.Err != nil {
-		t.Fatalf("queued job failed: %v", res.Err)
+			gate.Release(1)
+			if res := <-done; res.Err != nil {
+				t.Fatalf("cold job failed: %v", res.Err)
+			}
+			// The queued job only reaches the gate after the first frees the slot.
+			if !gate.WaitArrived(2, 5*time.Second) {
+				t.Fatal("queued job never dispatched")
+			}
+			gate.Release(1)
+			if res := <-done2; res.Err != nil {
+				t.Fatalf("queued job failed: %v", res.Err)
+			}
+		})
 	}
 }
 
@@ -619,6 +626,62 @@ func TestTimeoutReleasesSlotOnce(t *testing.T) {
 	}
 }
 
+// TestTimeoutIncludesQueueWait pins the one timeout rule: a job's timeout
+// counts from Do entry, queue wait included, whether or not coalescing is
+// on. A job that times out while queued leaves the queue without ever
+// being admitted and counts exactly one timeout.
+func TestTimeoutIncludesQueueWait(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
+			plug := make(chan struct{})
+			r := NewRunner(RunnerOptions{Workers: 1, CoalesceJobs: coalesce, Faults: &Faults{
+				ExecGate: func(j Job) <-chan struct{} {
+					if j.Name == "plug.c" {
+						return plug
+					}
+					return nil
+				}}})
+			ctx := context.Background()
+			plugDone := make(chan *JobResult, 1)
+			go func() { plugDone <- r.Do(ctx, Job{Name: "plug.c", Source: uniqueSource("qtimeout", 0)}) }()
+			waitCond(t, 5*time.Second, func() bool { return r.Metrics().JobsInFlight == 1 }, "plug to execute")
+			admitted := r.Metrics().Admitted
+
+			// The plug holds the worker far longer than the 30ms timeout; the
+			// bound is generous only so a loaded -race run cannot flake.
+			start := time.Now()
+			done := make(chan *JobResult, 1)
+			go func() {
+				done <- r.Do(ctx, Job{Name: "late.c", Source: uniqueSource("qtimeout", 1), Timeout: 30 * time.Millisecond})
+			}()
+			select {
+			case res := <-done:
+				if res.Err == nil || !strings.Contains(res.Err.Error(), "timed out") {
+					t.Fatalf("queued job returned %v, want a timeout", res.Err)
+				}
+				if el := time.Since(start); el < 30*time.Millisecond {
+					t.Errorf("timed out after %v, before its 30ms timeout", el)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("queued job did not time out while the worker was plugged")
+			}
+			waitCond(t, 5*time.Second, func() bool { return r.Metrics().QueueDepthNow == 0 }, "timed-out job to leave the queue")
+			if m := r.Metrics(); m.Admitted != admitted || m.JobsTimedOut != 1 {
+				t.Errorf("after timeout: admitted %d timed-out %d, want %d/1", m.Admitted, m.JobsTimedOut, admitted)
+			}
+
+			close(plug)
+			if res := <-plugDone; res.Err != nil {
+				t.Fatalf("plug failed: %v", res.Err)
+			}
+			waitCond(t, 5*time.Second, func() bool { return r.Metrics().JobsInFlight == 0 }, "in-flight to settle")
+			if m := r.Metrics(); m.Admitted != admitted || m.JobsTimedOut != 1 {
+				t.Errorf("after drain: admitted %d timed-out %d, want %d/1", m.Admitted, m.JobsTimedOut, admitted)
+			}
+		})
+	}
+}
+
 // TestWedgedStore drives the wedged-artifact-store fault: a compile whose
 // store reads hang occupies its worker slot (backpressure, not collapse),
 // queues later arrivals, and completes once the store unwedges.
@@ -676,7 +739,7 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 	a := newAdmitter(1, 0, map[string]int{"w2": 2}, m)
 
 	// Occupy the only slot so everything queues.
-	if _, err := a.admit(context.Background(), "plug", "t0"); err != nil {
+	if _, err := a.arrive(time.Time{}, "plug", "t0"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -689,7 +752,10 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 	// it, so arrival order (and therefore seq tie-breaking) is exact.
 	enqueue := func(id string, wantQueued int) {
 		go func() {
-			_, err := a.admit(context.Background(), id, "t-"+id)
+			w, err := a.arrive(time.Time{}, id, "t-"+id)
+			if err == nil {
+				a.wait(w)
+			}
 			grants <- admitRes{id, err}
 		}()
 		waitCond(t, 5*time.Second, func() bool {

@@ -100,7 +100,7 @@ type Cache struct {
 	max      int
 	ll       *list.List // front = most recently used; values are *Compiled
 	entries  map[Key]*list.Element
-	inflight map[Key]*compileFlight
+	inflight map[Key]*call[*Compiled]
 	// arts, when non-nil, is the second cache tier: a memory miss consults
 	// the persistent artifact store for per-function summaries before
 	// falling back to a full compile.
@@ -110,13 +110,6 @@ type Cache struct {
 	wrapSums func(gocured.SummarySource) gocured.SummarySource
 
 	hits, misses, evictions uint64
-}
-
-// compileFlight is one in-progress compile other goroutines can wait on.
-type compileFlight struct {
-	done chan struct{}
-	res  *Compiled
-	err  error
 }
 
 // NewCache returns a cache bounded to max entries (max <= 0 means the
@@ -129,7 +122,7 @@ func NewCache(max int) *Cache {
 		max:      max,
 		ll:       list.New(),
 		entries:  make(map[Key]*list.Element),
-		inflight: make(map[Key]*compileFlight),
+		inflight: make(map[Key]*call[*Compiled]),
 	}
 }
 
@@ -162,34 +155,29 @@ func (c *Cache) GetOrCompile(filename, source string, opts gocured.Options) (*Co
 		return f.res, Lookup{Tier: "inflight", Hit: true}, f.err
 	}
 	c.misses++
-	f := &compileFlight{done: make(chan struct{})}
+	f := newCall[*Compiled](nil)
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.res, f.err = compileSourceWrapped(key, filename, source, opts, c.arts, c.wrapSums)
-	close(f.done)
-
+	res, err := compileSource(key, filename, source, opts, c.arts, c.wrapSums)
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil {
-		c.insertLocked(key, f.res)
+	if err == nil {
+		c.insertLocked(key, res)
 	}
 	c.mu.Unlock()
-	return f.res, lookupFor(f.res), f.err
+	f.finish(res, err)
+	return res, lookupFor(res), err
 }
 
-// compileSource builds the artifact outside the lock. A panic in the
-// compiler is converted into an error so that goroutines waiting on this
-// compileFlight are released (the Runner additionally isolates panics per job).
-func compileSource(key Key, filename, source string, opts gocured.Options, arts *store.Artifacts) (*Compiled, error) {
-	return compileSourceWrapped(key, filename, source, opts, arts, nil)
-}
-
-// compileSourceWrapped is compileSource with the fault-injection decorator
-// applied to the summary source. The wrap sits inside the timing layer, so
-// a wedged store's stall time shows up in the store-read/store-write spans
-// exactly where a genuinely hung disk would.
-func compileSourceWrapped(key Key, filename, source string, opts gocured.Options, arts *store.Artifacts,
+// compileSource builds the artifact outside the cache lock. A panic in the
+// compiler is converted into an error so that callers waiting on this
+// compile are released (the Runner additionally isolates panics per job).
+// wrap, when non-nil, is the fault-injection decorator of the summary
+// source; it sits inside the timing layer, so a wedged store's stall time
+// shows up in the store-read/store-write spans exactly where a genuinely
+// hung disk would.
+func compileSource(key Key, filename, source string, opts gocured.Options, arts *store.Artifacts,
 	wrap func(gocured.SummarySource) gocured.SummarySource) (res *Compiled, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -262,7 +250,7 @@ func (t *timedSums) Save(sum *infer.FuncSummary, fn string, body, decls [sha256.
 
 func (c *Cache) insertLocked(key Key, res *Compiled) {
 	if _, ok := c.entries[key]; ok {
-		return // a racing flight already inserted it
+		return // a racing compile already inserted it
 	}
 	c.entries[key] = c.ll.PushFront(res)
 	for c.ll.Len() > c.max {

@@ -67,14 +67,6 @@ func (f *Faults) afterExec(job Job) {
 	}
 }
 
-// wrapSummaries applies the store fault, if any.
-func (f *Faults) wrapSummaries(src gocured.SummarySource) gocured.SummarySource {
-	if f == nil || f.WrapSummaries == nil {
-		return src
-	}
-	return f.WrapSummaries(src)
-}
-
 // StallGate stalls gated executions until the test releases them, one at a
 // time and in arrival order — the deterministic scheduler probe: with it,
 // a test steps the worker pool one completed job at a time and observes

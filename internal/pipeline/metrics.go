@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"expvar"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -122,33 +123,18 @@ func (m Metrics) PhaseHistogram(phase string) Histogram {
 }
 
 // metrics is the Runner's internal accumulator. One mutex guards the
-// counters; the histograms carry their own locks (they are also observed
-// from queue admission, outside jobFinished). Updates are a few counter
-// bumps per job, far off the interpreter's hot path, so contention is
-// negligible next to compile/run work.
+// counters and gauges, which accumulate straight into the snapshot type;
+// the histograms carry their own locks (they are also observed from queue
+// admission, outside jobFinished). Updates are a few counter bumps per
+// job, far off the interpreter's hot path, so contention is negligible
+// next to compile/run work.
 type metrics struct {
 	start time.Time // process-lifetime anchor for uptime_ms
 
-	mu           sync.Mutex
-	jobsInFlight int64
-	queueDepth   int64
-	jobsRun      uint64
-	jobsFailed   uint64
-	jobsPanicked uint64
-	jobsTimedOut uint64
-	runsExecuted uint64
-	traps        uint64
-	trapsByKind  map[string]uint64
-	funcsRecured uint64
-	funcsLoaded  uint64
-	admitted     uint64
-	shed         uint64
-	shedByReason map[string]uint64
-	coalesced    uint64
-	tpMalformed  uint64
-	// lastShed is the exemplar attached to the shed counter in the
-	// OpenMetrics exposition: the trace ID of the most recently shed job.
-	lastShed Exemplar
+	mu sync.Mutex
+	// acc holds the counters and gauges; its labelled maps stay nil until
+	// first use, so an untouched family is omitted from JSON.
+	acc Metrics
 
 	e2eWall     LogHist
 	queueWait   LogHist
@@ -161,75 +147,44 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		start:        time.Now(),
-		trapsByKind:  make(map[string]uint64),
-		shedByReason: make(map[string]uint64),
-		phases:       make(map[string]*LogHist),
-	}
+	return &metrics{start: time.Now(), phases: make(map[string]*LogHist)}
 }
 
-// traceparentMalformed counts an inbound traceparent header that failed
-// W3C validation and was discarded in favor of a fresh trace.
-func (m *metrics) traceparentMalformed() {
+// update applies one change to the counters and gauges under the lock.
+func (m *metrics) update(change func(acc *Metrics)) {
 	m.mu.Lock()
-	m.tpMalformed++
-	m.mu.Unlock()
-}
-
-// queueEnter registers a job entering the admission queue. The gauge is
-// the only thing touched here: wait and depth observations happen at
-// admission time, so shed and cancelled jobs never skew the histograms.
-func (m *metrics) queueEnter() {
-	m.mu.Lock()
-	m.queueDepth++
+	change(&m.acc)
 	m.mu.Unlock()
 }
 
 // queueAdmitted records a successful admission: the wait and the queue
-// depth the job observed at enqueue. waited reverses queueEnter for jobs
-// that actually sat in the queue (the free-slot fast path never entered).
+// depth the job observed at enqueue. waited reverses the queue-depth bump
+// of jobs that actually sat in the queue (the free-slot fast path never
+// entered). Wait and depth are observed only here, so shed and withdrawn
+// jobs never skew the histograms.
 func (m *metrics) queueAdmitted(depth int64, wait time.Duration, traceID string, waited bool) {
 	m.mu.Lock()
 	if waited {
-		m.queueDepth--
+		m.acc.QueueDepthNow--
 	}
-	m.admitted++
+	m.acc.Admitted++
 	m.mu.Unlock()
 	m.queueWait.Observe(wait, traceID)
 	m.queueDepthH.ObserveMS(float64(depth), traceID)
-}
-
-// queueCancelled reverses queueEnter for a job whose caller abandoned the
-// queue; no histogram records it.
-func (m *metrics) queueCancelled() {
-	m.mu.Lock()
-	m.queueDepth--
-	m.mu.Unlock()
 }
 
 // jobShed counts an admission rejection by reason and retains the trace ID
 // as the shed counter's exemplar.
 func (m *metrics) jobShed(reason, traceID string) {
 	m.mu.Lock()
-	m.shed++
-	m.shedByReason[reason]++
-	if traceID != "" {
-		m.lastShed = Exemplar{TraceID: traceID, ValueMS: 1}
+	m.acc.Shed++
+	if m.acc.ShedByReason == nil {
+		m.acc.ShedByReason = make(map[string]uint64)
 	}
-	m.mu.Unlock()
-}
-
-// jobCoalesced counts a job served by joining an identical in-flight job.
-func (m *metrics) jobCoalesced() {
-	m.mu.Lock()
-	m.coalesced++
-	m.mu.Unlock()
-}
-
-func (m *metrics) jobStarted() {
-	m.mu.Lock()
-	m.jobsInFlight++
+	m.acc.ShedByReason[reason]++
+	if traceID != "" {
+		m.acc.ShedExemplar = &Exemplar{TraceID: traceID, ValueMS: 1}
+	}
 	m.mu.Unlock()
 }
 
@@ -248,23 +203,25 @@ func (m *metrics) phaseHist(name string) *LogHist {
 func (m *metrics) jobFinished(res *JobResult) {
 	m.e2eWall.Observe(res.E2E, res.TraceID)
 	m.mu.Lock()
-	m.jobsInFlight--
-	m.jobsRun++
+	m.acc.JobsInFlight--
+	m.acc.JobsRun++
 	if res.Err != nil {
-		m.jobsFailed++
+		m.acc.JobsFailed++
 		m.mu.Unlock()
 		return
 	}
 	if !res.CacheHit {
-		m.funcsRecured += uint64(res.Incr.Recured)
-		m.funcsLoaded += uint64(res.Incr.Loaded)
+		m.acc.FuncsRecured += uint64(res.Incr.Recured)
+		m.acc.FuncsLoaded += uint64(res.Incr.Loaded)
 	}
-	trapped := res.Run != nil && res.Run.Trapped
 	if res.Run != nil {
-		m.runsExecuted++
-		if trapped {
-			m.traps++
-			m.trapsByKind[res.Run.TrapKind]++
+		m.acc.RunsExecuted++
+		if res.Run.Trapped {
+			m.acc.Traps++
+			if m.acc.TrapsByKind == nil {
+				m.acc.TrapsByKind = make(map[string]uint64)
+			}
+			m.acc.TrapsByKind[res.Run.TrapKind]++
 		}
 	}
 	m.mu.Unlock()
@@ -292,59 +249,19 @@ var phaseNames = map[string]bool{
 	"store-read": true, "store-write": true,
 }
 
-func (m *metrics) jobPanicked() {
-	m.mu.Lock()
-	m.jobsPanicked++
-	m.mu.Unlock()
-}
-
-func (m *metrics) jobTimedOut() {
-	m.mu.Lock()
-	m.jobsTimedOut++
-	m.mu.Unlock()
-}
-
+// snapshot copies the counters and gauges (the labelled maps cloned so the
+// caller owns them) and snapshots every histogram.
 func (m *metrics) snapshot(workers int, cache CacheStats) Metrics {
 	now := time.Now()
 	m.mu.Lock()
-	out := Metrics{
-		SnapshotUnixMS: now.UnixMilli(),
-		UptimeMS:       now.Sub(m.start).Milliseconds(),
-		Workers:        workers,
-		JobsInFlight:   m.jobsInFlight,
-		QueueDepthNow:  m.queueDepth,
-		JobsRun:        m.jobsRun,
-		JobsFailed:     m.jobsFailed,
-		JobsPanicked:   m.jobsPanicked,
-		JobsTimedOut:   m.jobsTimedOut,
-		RunsExecuted:   m.runsExecuted,
-		Traps:          m.traps,
-		Cache:          cache,
-		FuncsRecured:   m.funcsRecured,
-		FuncsLoaded:    m.funcsLoaded,
-		Admitted:       m.admitted,
-		Shed:           m.shed,
-		Coalesced:      m.coalesced,
-
-		TraceparentMalformed: m.tpMalformed,
-	}
-	if len(m.trapsByKind) > 0 {
-		out.TrapsByKind = make(map[string]uint64, len(m.trapsByKind))
-		for k, v := range m.trapsByKind {
-			out.TrapsByKind[k] = v
-		}
-	}
-	if len(m.shedByReason) > 0 {
-		out.ShedByReason = make(map[string]uint64, len(m.shedByReason))
-		for k, v := range m.shedByReason {
-			out.ShedByReason[k] = v
-		}
-	}
-	if m.lastShed.TraceID != "" {
-		e := m.lastShed
-		out.ShedExemplar = &e
-	}
+	out := m.acc
+	out.TrapsByKind = maps.Clone(out.TrapsByKind)
+	out.ShedByReason = maps.Clone(out.ShedByReason)
 	m.mu.Unlock()
+	out.SnapshotUnixMS = now.UnixMilli()
+	out.UptimeMS = now.Sub(m.start).Milliseconds()
+	out.Workers = workers
+	out.Cache = cache
 
 	out.E2EWall = m.e2eWall.Snapshot()
 	out.QueueWait = m.queueWait.Snapshot()

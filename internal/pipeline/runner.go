@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -26,11 +25,13 @@ type RunnerOptions struct {
 	// RunOptions.StepLimit (0 keeps the interpreter's default of 1e9).
 	// ccserve lowers it so one request cannot monopolize a worker.
 	DefaultStepLimit uint64
-	// JobTimeout is the default wall-clock bound per job (0 = none). A
-	// timed-out job's result is abandoned; its worker slot is freed only
-	// when the underlying compile/run actually stops (the step limit is
-	// the hard backstop), so pathological jobs exert backpressure instead
-	// of accumulating unbounded goroutines.
+	// JobTimeout is the default wall-clock bound per job (0 = none),
+	// counted from Do entry, queue wait included. A timed-out job still
+	// queued leaves the queue; a running one's result is abandoned, and
+	// its worker slot is freed only when the underlying compile/run
+	// actually stops (the step limit is the hard backstop), so
+	// pathological jobs exert backpressure instead of accumulating
+	// unbounded goroutines.
 	JobTimeout time.Duration
 	// Flight, when non-nil, records every job's compile/run phases into
 	// per-worker flight-recorder rings (wall-clock µs timestamps). Export
@@ -164,9 +165,10 @@ type Runner struct {
 	bus    *Bus
 	traces *trace.Buffer
 
-	// flights coalesce identical in-flight jobs when CoalesceJobs is on.
+	// flights holds the job calls shareable under a coalesceKey (only
+	// registered when CoalesceJobs is on).
 	flightMu sync.Mutex
-	flights  map[string]*jobFlight
+	flights  map[string]*call[*JobResult]
 }
 
 // NewRunner builds a Runner.
@@ -178,7 +180,7 @@ func NewRunner(opts RunnerOptions) *Runner {
 		opts:    opts,
 		m:       newMetrics(),
 		bus:     NewBus(),
-		flights: make(map[string]*jobFlight),
+		flights: make(map[string]*call[*JobResult]),
 	}
 	r.adm = newAdmitter(opts.Workers, opts.QueueDepth, opts.ClientWeights, r.m)
 	if opts.CacheEntries >= 0 {
@@ -209,7 +211,9 @@ func (r *Runner) Traces() *trace.Buffer { return r.traces }
 // failed validation and was discarded. The HTTP layer calls this (the spec
 // says restart the trace, not reject the request) so operators can spot a
 // misbehaving upstream in the traceparent_malformed counter.
-func (r *Runner) CountTraceparentMalformed() { r.m.traceparentMalformed() }
+func (r *Runner) CountTraceparentMalformed() {
+	r.m.update(func(acc *Metrics) { acc.TraceparentMalformed++ })
+}
 
 // Metrics snapshots the Runner's counters.
 func (r *Runner) Metrics() Metrics {
@@ -243,74 +247,52 @@ func (r *Runner) Metrics() Metrics {
 // completes, is shed, times out, or ctx is cancelled. It always returns a
 // non-nil result; inspect Err. A shed job's Err unwraps to *ShedError.
 // With CoalesceJobs on, identical in-flight jobs share one execution.
+//
+// Every job is a call run by one leader goroutine; the caller only waits
+// for it in waitFlight. Without CoalesceJobs the call is simply never
+// registered under a shareable key, so there is one job path either way.
 func (r *Runner) Do(ctx context.Context, job Job) *JobResult {
 	if job.TraceID == "" {
 		job.TraceID = trace.NewID()
 	}
-	if !r.opts.CoalesceJobs {
-		return r.doOne(ctx, job)
+	var key string
+	if r.opts.CoalesceJobs {
+		key = coalesceKey(job)
 	}
-
-	key := coalesceKey(job)
 	r.flightMu.Lock()
-	if f, ok := r.flights[key]; ok {
-		f.join()
+	if f, ok := r.flights[key]; ok && f.join() {
 		r.flightMu.Unlock()
-		r.m.jobCoalesced()
+		r.m.update(func(acc *Metrics) { acc.Coalesced++ })
 		return r.waitFlight(ctx, job, f, false)
 	}
-	// Leader: run the job on a detached context that is cancelled only
-	// when every participant (leader caller included) has walked away, so
-	// one waiter's cancellation can never kill the shared execution.
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &jobFlight{done: make(chan struct{}), refs: 1, cancel: cancel}
-	r.flights[key] = f
+	// Arrival-time admission belongs to the leader caller: it runs on this
+	// goroutine and sheds on this caller's deadline. Deciding it before
+	// registering the call means nobody ever coalesces onto a shed job.
+	enq := time.Now()
+	deadline, _ := ctx.Deadline()
+	w, err := r.adm.arrive(deadline, job.ClientID, job.TraceID)
+	if err != nil {
+		r.flightMu.Unlock()
+		return &JobResult{Name: job.Name, TraceID: job.TraceID,
+			Err: fmt.Errorf("job %q (trace %s): %w", job.Name, job.TraceID, err)}
+	}
+	f := newCall[*JobResult](func() { r.adm.withdraw(w) })
+	if key != "" {
+		r.flights[key] = f
+	}
 	r.flightMu.Unlock()
 	go func() {
-		res := r.doOne(fctx, job)
-		r.flightMu.Lock()
-		delete(r.flights, key)
-		r.flightMu.Unlock()
-		f.mu.Lock()
-		f.res = res
-		f.finished = true
-		f.mu.Unlock()
-		close(f.done)
-		cancel()
+		res := r.run(job, enq, w)
+		if key != "" {
+			r.flightMu.Lock()
+			if r.flights[key] == f {
+				delete(r.flights, key)
+			}
+			r.flightMu.Unlock()
+		}
+		f.finish(res, nil)
 	}()
 	return r.waitFlight(ctx, job, f, true)
-}
-
-// jobFlight is one in-flight job execution that identical concurrent jobs
-// coalesce onto: the leader executes, everyone shares the payload.
-type jobFlight struct {
-	done chan struct{}
-	res  *JobResult
-
-	mu       sync.Mutex
-	refs     int
-	finished bool
-	cancel   context.CancelFunc
-}
-
-// join registers another participant.
-func (f *jobFlight) join() {
-	f.mu.Lock()
-	f.refs++
-	f.mu.Unlock()
-}
-
-// leave deregisters a participant that stopped waiting; when the last one
-// leaves an unfinished flight, the shared execution is cancelled (it would
-// only burn a queue slot on a result nobody reads).
-func (f *jobFlight) leave() {
-	f.mu.Lock()
-	f.refs--
-	last := f.refs == 0 && !f.finished
-	f.mu.Unlock()
-	if last {
-		f.cancel()
-	}
 }
 
 // coalesceKey is the identity under which in-flight jobs coalesce: the
@@ -328,9 +310,11 @@ func coalesceKey(job Job) string {
 	return fmt.Sprintf("%x|run|%s|%#v", k[:], job.Mode, job.RunOptions)
 }
 
-// waitFlight waits for a shared execution on behalf of one participant,
-// honoring that participant's own context and timeout.
-func (r *Runner) waitFlight(ctx context.Context, job Job, f *jobFlight, leader bool) *JobResult {
+// waitFlight waits for a job's call on behalf of one participant. It is
+// the only place a caller's cancellation and timeout are handled: the
+// timeout (Job.Timeout, else JobTimeout) counts from Do entry, queue wait
+// included, and a participant that gives up leaves the call.
+func (r *Runner) waitFlight(ctx context.Context, job Job, f *call[*JobResult], leader bool) *JobResult {
 	enq := time.Now()
 	timeout := job.Timeout
 	if timeout <= 0 {
@@ -378,60 +362,29 @@ func (r *Runner) waitFlight(ctx context.Context, job Job, f *jobFlight, leader b
 		f.leave()
 		return &JobResult{Name: job.Name, TraceID: job.TraceID, Err: ctx.Err()}
 	case <-timeoutCh:
+		r.m.update(func(acc *Metrics) { acc.JobsTimedOut++ })
 		f.leave()
-		r.m.jobTimedOut()
 		return &JobResult{Name: job.Name, TraceID: job.TraceID,
 			Err: fmt.Errorf("job %q (trace %s) timed out after %v", job.Name, job.TraceID, timeout)}
 	}
 }
 
-// doOne admits and executes one job without coalescing.
-func (r *Runner) doOne(ctx context.Context, job Job) *JobResult {
-	enq := time.Now()
-	wait, err := r.adm.admit(ctx, job.ClientID, job.TraceID)
-	if err != nil {
-		var shed *ShedError
-		if errors.As(err, &shed) {
-			return &JobResult{Name: job.Name, TraceID: job.TraceID,
-				Err: fmt.Errorf("job %q (trace %s): %w", job.Name, job.TraceID, err)}
-		}
-		return &JobResult{Name: job.Name, TraceID: job.TraceID, Err: err}
-	}
-	r.m.jobStarted()
-
-	resCh := make(chan *JobResult, 1)
-	go func() {
-		svcStart := time.Now()
-		// The slot is returned when execution actually stops — after the
-		// in-flight gauge drops — even if the caller abandoned the job on
-		// timeout long ago, so pathological jobs exert backpressure
-		// instead of over-admitting.
-		defer func() { r.adm.release(time.Since(svcStart)) }()
-		res := r.execute(job, enq, wait)
-		r.m.jobFinished(res)
-		resCh <- res
-	}()
-
-	timeout := job.Timeout
-	if timeout <= 0 {
-		timeout = r.opts.JobTimeout
-	}
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
-	select {
-	case res := <-resCh:
-		return res
-	case <-ctx.Done():
-		return &JobResult{Name: job.Name, TraceID: job.TraceID, Err: ctx.Err()}
-	case <-timeoutCh:
-		r.m.jobTimedOut()
+// run waits out a call's place in the queue and executes its job. The
+// slot is returned when execution actually stops, even if every caller
+// abandoned the job on timeout long ago, so pathological jobs exert
+// backpressure instead of over-admitting.
+func (r *Runner) run(job Job, enq time.Time, w *waiter) *JobResult {
+	wait, ok := r.adm.wait(w)
+	if !ok {
 		return &JobResult{Name: job.Name, TraceID: job.TraceID,
-			Err: fmt.Errorf("job %q (trace %s) timed out after %v", job.Name, job.TraceID, timeout)}
+			Err: fmt.Errorf("job %q (trace %s) withdrawn from the queue", job.Name, job.TraceID)}
 	}
+	r.m.update(func(acc *Metrics) { acc.JobsInFlight++ })
+	svcStart := time.Now()
+	res := r.execute(job, enq, wait)
+	r.m.jobFinished(res)
+	r.adm.release(time.Since(svcStart))
+	return res
 }
 
 // RetryAfter is the Runner's current backoff estimate for rejected work:
@@ -563,7 +516,7 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 	}()
 	defer func() {
 		if p := recover(); p != nil {
-			r.m.jobPanicked()
+			r.m.update(func(acc *Metrics) { acc.JobsPanicked++ })
 			res.Err = fmt.Errorf("job %q (trace %s) panicked: %v\n%s", job.Name, job.TraceID, p, debug.Stack())
 		}
 	}()
@@ -665,6 +618,6 @@ func (r *Runner) compile(job Job) (*Compiled, Lookup, error) {
 	if r.cache != nil {
 		return r.cache.GetOrCompile(job.Name, job.Source, job.Options)
 	}
-	compiled, err := compileSource(CacheKey(job.Name, job.Source, job.Options), job.Name, job.Source, job.Options, r.opts.Store)
+	compiled, err := compileSource(CacheKey(job.Name, job.Source, job.Options), job.Name, job.Source, job.Options, r.opts.Store, nil)
 	return compiled, lookupFor(compiled), err
 }
