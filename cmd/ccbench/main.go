@@ -6,10 +6,11 @@
 //	ccbench [-scale N] [-j N] [-only E3] [-trace-dir DIR]
 //
 // With -trace-dir, ccbench writes two Perfetto-loadable Chrome trace-event
-// files into DIR: pipeline.json (one track per pipeline worker showing job
-// compile/run phases and traps) and e9-ftpd-cured.json (the flight
-// recording of a cured ftpd exploit run, checks and all, ending in the
-// trap that stops the overflow).
+// files into DIR: pipeline.json (one track per pipeline request still in
+// the Runner's trace buffer, showing its queue-wait, cache-tier, compile
+// phase and run spans) and e9-ftpd-cured.json (the flight recording of a
+// cured ftpd exploit run, checks and all, ending in the trap that stops
+// the overflow).
 package main
 
 import (
@@ -58,13 +59,11 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "write Perfetto trace-event files (pipeline.json, e9-ftpd-cured.json) into this directory")
 	flag.Parse()
 
-	var recorder *flight.Recorder
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		recorder = flight.NewRecorder(0)
 	}
 	arts, err := pipeline.OpenStore(*storeDir)
 	if err != nil {
@@ -74,10 +73,11 @@ func main() {
 	cfg := experiments.Config{
 		Scale:  *scale,
 		Jobs:   *jobs,
-		Runner: pipeline.NewRunner(pipeline.RunnerOptions{Workers: *jobs, Flight: recorder, Store: arts}),
+		Runner: pipeline.NewRunner(pipeline.RunnerOptions{Workers: *jobs, Store: arts}),
 	}
-	// writeTraces renders the flight recordings once the requested
-	// experiments have run (on every exit path that executed jobs).
+	// writeTraces renders the Runner's request traces and the ftpd flight
+	// recording once the requested experiments have run (on every exit
+	// path that executed jobs).
 	writeTraces := func() {
 		if *traceDir == "" {
 			return
@@ -85,7 +85,7 @@ func main() {
 		pipePath := filepath.Join(*traceDir, "pipeline.json")
 		f, err := os.Create(pipePath)
 		if err == nil {
-			err = flight.WriteTrace(f, recorder.Rings())
+			err = flight.WriteTrace(f, flight.RequestRings(cfg.Runner.Traces().Recent(0)))
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"time"
 
 	"gocured/internal/trace"
 )
@@ -33,9 +35,9 @@ type traceFile struct {
 
 // WriteTrace renders rings as Chrome trace-event JSON: one track (tid) per
 // ring, a thread_name metadata record naming it, B/E duration pairs for
-// frames and phases (nesting renders the interpreter call stack / pipeline
-// job timeline), and instants for checks, traps, allocations and pointer
-// conversions.
+// frames and phases (nesting renders the interpreter call stack / a
+// request's span tree), and instants for checks, traps, allocations and
+// pointer conversions.
 //
 // The output is guaranteed well-formed even over a wrapped ring: timestamps
 // are clamped non-decreasing per track, E events whose B was overwritten
@@ -119,53 +121,52 @@ func ringEvents(r *Ring, tid int) []TraceEvent {
 	return out
 }
 
-// RingFromSpans converts a phase-span snapshot (internal/trace) into a
-// ring of EvBegin/EvEnd pairs, so compile phases appear as their own track
-// in the exported trace. TS is microseconds (StartMS * 1000). Returns nil
-// when there are no spans.
+// RingFromSpans converts a pre-order, depth-annotated span list
+// (internal/trace) into a ring of EvBegin/EvEnd pairs, so the spans appear
+// as their own track in the exported trace. The span tree is rebuilt and
+// sanitized exactly as WriteSpanTrace does, so any input list yields
+// balanced, monotonic pairs. TS is microseconds (StartMS * 1000). Returns
+// nil when there are no spans.
 func RingFromSpans(track string, spans []trace.Span) *Ring {
 	if len(spans) == 0 {
 		return nil
 	}
-	type bound struct {
-		ts    float64
-		begin bool
-		depth int
-		name  string
-	}
-	var bounds []bound
-	for _, sp := range spans {
-		dur := sp.DurMS
-		if dur < 0 {
-			dur = 0 // span never ended: render as zero-duration
-		}
-		bounds = append(bounds,
-			bound{ts: sp.StartMS, begin: true, depth: sp.Depth, name: sp.Name},
-			bound{ts: sp.StartMS + dur, begin: false, depth: sp.Depth, name: sp.Name})
-	}
-	sort.SliceStable(bounds, func(i, j int) bool {
-		if bounds[i].ts != bounds[j].ts {
-			return bounds[i].ts < bounds[j].ts
-		}
-		// Same instant: close deeper spans first, then open shallow ones
-		// before deep ones, and ends before begins (adjacent phases).
-		if bounds[i].begin != bounds[j].begin {
-			return !bounds[i].begin
-		}
-		if bounds[i].begin {
-			return bounds[i].depth < bounds[j].depth
-		}
-		return bounds[i].depth > bounds[j].depth
-	})
 	r := NewRing(2*len(spans), track)
-	for _, b := range bounds {
-		k := EvBegin
-		if !b.begin {
-			k = EvEnd
+	var emit func(n *spanNode)
+	emit = func(n *spanNode) {
+		r.Record(Event{TS: uint64(n.start * 1000), Kind: EvBegin, Name: n.name})
+		for _, c := range n.children {
+			emit(c)
 		}
-		r.Record(Event{TS: uint64(b.ts * 1000), Kind: k, Name: b.name})
+		r.Record(Event{TS: uint64(n.end * 1000), Kind: EvEnd, Name: n.name})
+	}
+	for _, root := range sanitizedSpanTree(spans) {
+		emit(root)
 	}
 	return r
+}
+
+// RequestRings renders finished request traces (a pipeline Runner's trace
+// buffer) as one ring per request, ordered by start time. Each trace's
+// spans are shifted from request-relative offsets onto one clock whose
+// zero is the earliest request's start, so the tracks line up in Perfetto
+// and show the queue-wait, cache-tier and compile-phase spans of every
+// request side by side.
+func RequestRings(traces []trace.ReqTrace) []*Ring {
+	traces = slices.Clone(traces)
+	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Start.Before(traces[j].Start) })
+	var rings []*Ring
+	for _, rt := range traces {
+		off := float64(rt.Start.Sub(traces[0].Start)) / float64(time.Millisecond)
+		spans := slices.Clone(rt.Spans)
+		for i := range spans {
+			spans[i].StartMS += off
+		}
+		if r := RingFromSpans(rt.Name+" "+rt.ID, spans); r != nil {
+			rings = append(rings, r)
+		}
+	}
+	return rings
 }
 
 // spanNode is one node of the reconstructed span tree WriteSpanTrace
@@ -207,8 +208,8 @@ func buildSpanTree(spans []trace.Span) []*spanNode {
 }
 
 // sanitizeSpan clamps n into [*cursor, maxEnd] and its children into n,
-// ordering siblings by start and squeezing out overlaps, so the recursive
-// B/E emission below always satisfies ValidateTrace. Aggregate spans (store
+// ordering siblings by start and squeezing out overlaps, so a depth-first
+// B/E emission always satisfies ValidateTrace. Aggregate spans (store
 // I/O) and float rounding can produce windows that slightly overrun their
 // parent or neighbors; the clamp trades sub-bucket duration accuracy on
 // those edges for a structurally valid trace.
@@ -233,6 +234,21 @@ func sanitizeSpan(n *spanNode, cursor *float64, maxEnd float64) {
 	*cursor = n.end
 }
 
+// sanitizedSpanTree rebuilds the span tree of a pre-order, depth-annotated
+// span list and sanitizes every root in order: the one span-to-tree
+// conversion both WriteSpanTrace and RingFromSpans emit from.
+func sanitizedSpanTree(spans []trace.Span) []*spanNode {
+	roots := buildSpanTree(spans)
+	if len(roots) == 0 {
+		return nil
+	}
+	cursor := roots[0].start
+	for _, root := range roots {
+		sanitizeSpan(root, &cursor, math.Inf(1))
+	}
+	return roots
+}
+
 // appendSpanEvents emits one sanitized node as a B/E pair around its
 // children, on pid 1 / tid 1. TS is microseconds (span times are ms).
 func appendSpanEvents(out []TraceEvent, n *spanNode, args map[string]any) []TraceEvent {
@@ -246,11 +262,10 @@ func appendSpanEvents(out []TraceEvent, n *spanNode, args map[string]any) []Trac
 // WriteSpanTrace renders a pre-order, depth-annotated span timeline (a
 // request trace from the pipeline's trace buffer) as Chrome trace-event
 // JSON on a single track. rootArgs, when non-nil, is attached to the first
-// root span's B event (the place to carry the trace ID). Unlike
-// RingFromSpans — which renders spans as a flat event stream and relies on
-// them being well-nested — this exporter reconstructs the span tree and
-// sanitizes it (children clamped into parents, siblings ordered and
-// non-overlapping), so the output passes ValidateTrace for any input list.
+// root span's B event (the place to carry the trace ID). The span tree is
+// reconstructed and sanitized (children clamped into parents, siblings
+// ordered and non-overlapping), so the output passes ValidateTrace for any
+// input list.
 func WriteSpanTrace(w io.Writer, track string, spans []trace.Span, rootArgs map[string]any) error {
 	f := traceFile{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{}}
 	if len(spans) > 0 {
@@ -258,12 +273,7 @@ func WriteSpanTrace(w io.Writer, track string, spans []trace.Span, rootArgs map[
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: 1,
 			Args: map[string]any{"name": track},
 		})
-		roots := buildSpanTree(spans)
-		cursor := roots[0].start
-		for _, rt := range roots {
-			sanitizeSpan(rt, &cursor, math.Inf(1))
-		}
-		for i, rt := range roots {
+		for i, rt := range sanitizedSpanTree(spans) {
 			var args map[string]any
 			if i == 0 {
 				args = rootArgs

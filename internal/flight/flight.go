@@ -1,27 +1,22 @@
 // Package flight is gocured's flight recorder: a low-overhead, fixed-size
-// ring-buffer event log of what a cured program (and the pipeline driving
-// it) actually did over time. Producers record Events into per-goroutine
-// Rings — the interpreter owns one ring per Machine, the pipeline one ring
-// per worker slot — with no locks on the record path; a Recorder is just
-// the registry that collects rings for export. Exporters (export.go)
-// render rings as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) and as a step-sampling profile (profile.go); on a
-// trap, Snapshot cuts a "black box": the last events leading up to and
-// including the trap.
+// ring-buffer event log of what a cured program actually did over time.
+// The interpreter records Events into one Ring per Machine with no locks
+// on the record path. Exporters (export.go) render rings as Chrome
+// trace-event JSON (loadable in Perfetto or chrome://tracing) and as a
+// step-sampling profile (profile.go); on a trap, Snapshot cuts a "black
+// box": the last events leading up to and including the trap.
+//
+// The pipeline keeps no live rings of its own: a job's timing is its
+// request span list (internal/trace), and RingFromSpans and RequestRings
+// turn finished span lists into rings only at export time.
 //
 // The disabled-path contract is one branch: every instrumentation point in
 // the interpreter is `if m.rec != nil { record }`. A Ring is single-
 // producer (the goroutine that owns it); reading a ring while its producer
-// is live is racy and unsupported — export after the run, or own the
-// synchronization (the pipeline's checkout/release discipline does).
+// is live is racy and unsupported — export after the run.
 package flight
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // EvKind classifies one recorded event.
 type EvKind uint8
@@ -49,8 +44,8 @@ const (
 	EvRet
 	// EvWrapper: call into a library builtin / CCured wrapper (Name = fn).
 	EvWrapper
-	// EvBegin / EvEnd: generic phase or job boundary (pipeline workers,
-	// compile phases). Rendered as B/E pairs like frames.
+	// EvBegin / EvEnd: generic phase boundary (compile phases, request
+	// spans). Rendered as B/E pairs like frames.
 	EvBegin
 	EvEnd
 	// EvSample: step-sampling profile hit (Pos = source line). Present in
@@ -71,9 +66,9 @@ func (k EvKind) String() string {
 }
 
 // Event is one recorded occurrence. TS is a monotonic per-ring timestamp:
-// interpreter rings use simulated cycles (deterministic), pipeline rings
-// use microseconds since the recorder started. Site indexes the ring's
-// site table (1-based; 0 = no site).
+// interpreter rings use simulated cycles (deterministic), rings built from
+// span lists use microseconds. Site indexes the ring's site table
+// (1-based; 0 = no site).
 type Event struct {
 	TS   uint64
 	Kind EvKind
@@ -239,75 +234,4 @@ func Snapshot(r *Ring, n int) *BlackBox {
 		bb.Events = append(bb.Events, r.FormatEvent(e))
 	}
 	return bb
-}
-
-// Recorder is a registry of rings plus the shared wall-clock epoch for
-// rings whose producers are real goroutines (pipeline workers). Checkout
-// and Release implement a worker-slot discipline: a bounded pool of
-// concurrent producers reuses a bounded set of rings, one track per slot.
-type Recorder struct {
-	mu      sync.Mutex
-	rings   []*Ring
-	free    []*Ring
-	ringCap int
-	t0      time.Time
-}
-
-// NewRecorder builds a recorder whose rings hold capacity events each
-// (<= 0 selects DefaultRingCap).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultRingCap
-	}
-	return &Recorder{ringCap: capacity, t0: time.Now()}
-}
-
-// NowMicros returns microseconds since the recorder started — the TS unit
-// for wall-clock rings.
-func (rec *Recorder) NowMicros() uint64 {
-	return uint64(time.Since(rec.t0) / time.Microsecond)
-}
-
-// NewRing creates and registers a ring with its own track name.
-func (rec *Recorder) NewRing(track string) *Ring {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	r := NewRing(rec.ringCap, track)
-	rec.rings = append(rec.rings, r)
-	return r
-}
-
-// Checkout hands out a free worker ring, creating "worker-N" rings on
-// demand. The caller owns the ring until Release.
-func (rec *Recorder) Checkout() *Ring {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if n := len(rec.free); n > 0 {
-		r := rec.free[n-1]
-		rec.free = rec.free[:n-1]
-		return r
-	}
-	r := NewRing(rec.ringCap, fmt.Sprintf("worker-%d", len(rec.rings)))
-	rec.rings = append(rec.rings, r)
-	return r
-}
-
-// Release returns a checked-out ring to the pool.
-func (rec *Recorder) Release(r *Ring) {
-	if r == nil {
-		return
-	}
-	rec.mu.Lock()
-	rec.free = append(rec.free, r)
-	rec.mu.Unlock()
-}
-
-// Rings snapshots the registered rings, in a stable (track-name) order.
-func (rec *Recorder) Rings() []*Ring {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	out := make([]*Ring, len(rec.rings))
-	copy(out, rec.rings)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].track < out[j].track })
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"gocured/internal/trace"
 )
@@ -159,35 +160,73 @@ func TestProfileTopDeterministicOnTies(t *testing.T) {
 	}
 }
 
+// nastySpans is a deliberately malformed request timeline: overlapping
+// siblings, a child overrunning its parent, an unfinished span and
+// out-of-order siblings. Both span exporters must still emit a valid trace.
+var nastySpans = []trace.Span{
+	{Name: "request", StartMS: 0, DurMS: 10},
+	{Name: "queue-wait", StartMS: 0, DurMS: 1, Depth: 1},
+	{Name: "compile", StartMS: 1, DurMS: 8, Depth: 1},
+	{Name: "cache-compile", StartMS: 1, DurMS: 0, Depth: 2},
+	{Name: "parse", StartMS: 1, DurMS: 3, Depth: 2},
+	{Name: "infer", StartMS: 3.5, DurMS: 6, Depth: 2},    // overlaps parse, overruns compile
+	{Name: "store-read", StartMS: 2, DurMS: 1, Depth: 2}, // out of order
+	{Name: "run", StartMS: 9, DurMS: -1, Depth: 1},       // never finished
+}
+
 func TestRingFromSpansNesting(t *testing.T) {
-	spans := []trace.Span{
-		{Name: "build", StartMS: 0, DurMS: 10, Depth: 0},
-		{Name: "parse", StartMS: 0, DurMS: 4, Depth: 1},
-		{Name: "sema", StartMS: 4, DurMS: 6, Depth: 1},
+	cases := map[string][]trace.Span{
+		"well-nested": {
+			{Name: "build", StartMS: 0, DurMS: 10, Depth: 0},
+			{Name: "parse", StartMS: 0, DurMS: 4, Depth: 1},
+			{Name: "sema", StartMS: 4, DurMS: 6, Depth: 1},
+		},
+		"overlapping": nastySpans,
+		// A float-rounding overlap between adjacent phases: run starts an
+		// ulp before compile ends.
+		"ulp-overlap": {
+			{Name: "request", StartMS: 0, DurMS: 2},
+			{Name: "compile", StartMS: 0, DurMS: 1.0000000000000002, Depth: 1},
+			{Name: "run", StartMS: 1, DurMS: 1, Depth: 1},
+		},
 	}
-	r := RingFromSpans("compile", spans)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, []*Ring{r}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidateTrace(buf.Bytes()); err != nil {
-		t.Fatalf("span trace does not validate: %v\n%s", err, buf.String())
+	for name, spans := range cases {
+		r := RingFromSpans("compile", spans)
+		if got, want := r.Len(), 2*len(spans); got != want {
+			t.Errorf("%s: ring holds %d events, want %d (one B/E pair per span)", name, got, want)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, []*Ring{r}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateTrace(buf.Bytes()); err != nil {
+			t.Errorf("%s: span trace does not validate: %v\n%s", name, err, buf.String())
+		}
 	}
 }
 
-func TestRecorderCheckoutRelease(t *testing.T) {
-	rec := NewRecorder(16)
-	a := rec.Checkout()
-	b := rec.Checkout()
-	if a == b {
-		t.Fatal("two concurrent checkouts share a ring")
+// TestRequestRingsSharedClock checks request traces land on one clock:
+// each request is its own track, ordered by start, with its spans offset
+// by its start relative to the earliest request.
+func TestRequestRingsSharedClock(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	spans := []trace.Span{{Name: "request", DurMS: 2}, {Name: "queue-wait", DurMS: 1, Depth: 1}}
+	rings := RequestRings([]trace.ReqTrace{
+		{ID: "b", Name: "late.c", Start: t0.Add(5 * time.Millisecond), Spans: spans},
+		{ID: "a", Name: "early.c", Start: t0, Spans: spans},
+	})
+	if len(rings) != 2 || rings[0].Track() != "early.c a" || rings[1].Track() != "late.c b" {
+		t.Fatalf("rings = %v, want early.c a then late.c b", rings)
 	}
-	rec.Release(a)
-	if c := rec.Checkout(); c != a {
-		t.Fatal("released ring not reused")
+	if ts := rings[1].Events()[0].TS; ts != 5000 {
+		t.Errorf("late request begins at %dµs, want 5000", ts)
 	}
-	if n := len(rec.Rings()); n != 2 {
-		t.Fatalf("recorder registered %d rings, want 2", n)
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, rings); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateTrace(buf.Bytes()); err != nil {
+		t.Fatalf("request trace does not validate: %v\n%s", err, buf.String())
 	}
 }
 
@@ -210,23 +249,12 @@ func TestTraceFileValidates(t *testing.T) {
 	t.Logf("%s: %d events, valid", path, n)
 }
 
-// TestWriteSpanTraceSanitizes feeds the span exporter a deliberately nasty
-// timeline — overlapping siblings, a child overrunning its parent, an
-// unfinished span, out-of-order siblings — and checks the output still
-// passes ValidateTrace with the trace ID on the root event.
+// TestWriteSpanTraceSanitizes feeds the span exporter the nastySpans
+// timeline and checks the output still passes ValidateTrace with the trace
+// ID on the root event.
 func TestWriteSpanTraceSanitizes(t *testing.T) {
-	spans := []trace.Span{
-		{Name: "request", StartMS: 0, DurMS: 10},
-		{Name: "queue-wait", StartMS: 0, DurMS: 1, Depth: 1},
-		{Name: "compile", StartMS: 1, DurMS: 8, Depth: 1},
-		{Name: "cache-compile", StartMS: 1, DurMS: 0, Depth: 2},
-		{Name: "parse", StartMS: 1, DurMS: 3, Depth: 2},
-		{Name: "infer", StartMS: 3.5, DurMS: 6, Depth: 2},    // overlaps parse, overruns compile
-		{Name: "store-read", StartMS: 2, DurMS: 1, Depth: 2}, // out of order
-		{Name: "run", StartMS: 9, DurMS: -1, Depth: 1},       // never finished
-	}
 	var b bytes.Buffer
-	if err := WriteSpanTrace(&b, "req abc", spans, map[string]any{"trace_id": "0123456789abcdef"}); err != nil {
+	if err := WriteSpanTrace(&b, "req abc", nastySpans, map[string]any{"trace_id": "0123456789abcdef"}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateTrace(b.Bytes())

@@ -31,10 +31,6 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("load shed (%s): retry after %v", e.Reason, e.RetryAfter)
 }
 
-// DefaultClientWeight is the fair-queue weight of clients without an
-// explicit entry in RunnerOptions.ClientWeights.
-const DefaultClientWeight = 1
-
 // svcEstimator tracks recent job service times (worker-slot occupancy:
 // compile + run, not queue wait) in a fixed ring and answers p50 queries.
 // A ring of the last 64 observations adapts quickly when the workload
@@ -99,7 +95,6 @@ type waiter struct {
 // clientQ is one client's FIFO of waiting jobs plus its SFQ state.
 type clientQ struct {
 	id         string
-	weight     float64
 	lastFinish float64
 	waiters    []*waiter // live waiters in FIFO order (gone ones are popped lazily)
 	depth      int       // live (not-gone) waiters
@@ -107,9 +102,9 @@ type clientQ struct {
 
 // admitter is the Runner's admission scheduler: a bounded queue of jobs
 // waiting for worker slots, dispatched by start-time fair queueing (SFQ)
-// across clients. Each job costs one virtual unit divided by its client's
-// weight; the waiter with the smallest finish tag is granted the next free
-// slot, so a client flooding the queue cannot starve the others — its jobs
+// across clients. Every client has the same weight, so each job costs one
+// virtual unit; the waiter with the smallest finish tag is granted the next
+// free slot, so a client flooding the queue cannot starve the others — its jobs
 // just stack up behind ever-larger finish tags while light clients' jobs
 // slot in ahead.
 type admitter struct {
@@ -119,20 +114,18 @@ type admitter struct {
 	maxQueue int // 0 = unbounded (batch mode); ccserve sets a bound
 	queued   int // live waiters across all clients
 	clients  map[string]*clientQ
-	weights  map[string]int
 	vtime    float64 // start tag of the most recently dispatched job
 	seq      uint64
 	svc      svcEstimator
 	m        *metrics
 }
 
-func newAdmitter(workers, maxQueue int, weights map[string]int, m *metrics) *admitter {
+func newAdmitter(workers, maxQueue int, m *metrics) *admitter {
 	return &admitter{
 		slots:    workers,
 		workers:  workers,
 		maxQueue: maxQueue,
 		clients:  make(map[string]*clientQ),
-		weights:  weights,
 		m:        m,
 	}
 }
@@ -140,11 +133,7 @@ func newAdmitter(workers, maxQueue int, weights map[string]int, m *metrics) *adm
 func (a *admitter) clientLocked(id string) *clientQ {
 	c := a.clients[id]
 	if c == nil {
-		w := a.weights[id]
-		if w <= 0 {
-			w = DefaultClientWeight
-		}
-		c = &clientQ{id: id, weight: float64(w)}
+		c = &clientQ{id: id}
 		a.clients[id] = c
 	}
 	return c
@@ -208,7 +197,7 @@ func (a *admitter) arrive(deadline time.Time, clientID, traceID string) (*waiter
 	if c.lastFinish > start {
 		start = c.lastFinish
 	}
-	w := &waiter{client: c, finish: start + 1/c.weight, seq: a.seq, ready: make(chan struct{}), traceID: traceID,
+	w := &waiter{client: c, finish: start + 1, seq: a.seq, ready: make(chan struct{}), traceID: traceID,
 		enq: time.Now()}
 	a.seq++
 	c.lastFinish = w.finish
@@ -286,7 +275,7 @@ func (a *admitter) dispatchLocked() {
 		a.queued--
 		a.slots--
 		w.granted = true
-		a.vtime = w.finish - 1/best.weight
+		a.vtime = w.finish - 1
 		close(w.ready)
 		if len(best.waiters) == 0 && best.depth == 0 {
 			// Idle clients are forgotten so the map cannot grow without

@@ -202,20 +202,20 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 }
 
 // TestAdmissionFairness is the property-style fairness test: K clients
-// with skewed offered load and skewed weights enqueue under a wedged
-// worker in a seed-randomized interleaving; dispatch order must give every
-// backlogged client at least its weight share minus tolerance, and every
-// client must make progress early (no starvation).
+// with skewed offered load enqueue under a wedged worker in a
+// seed-randomized interleaving; dispatch order must give every backlogged
+// client at least an equal share minus tolerance, and every client must
+// make progress early (no starvation).
 func TestAdmissionFairness(t *testing.T) {
 	type clientSpec struct {
-		id     string
-		weight int
-		jobs   int
+		id   string
+		jobs int
 	}
+	// Every client is entitled to 1/3 of the slots while backlogged.
 	specs := []clientSpec{
-		{"heavy", 2, 12}, // entitled to 1/2 of slots while backlogged
-		{"light", 1, 4},  // 1/4
-		{"tiny", 1, 4},   // 1/4
+		{"heavy", 12},
+		{"light", 4},
+		{"tiny", 4},
 	}
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -223,15 +223,12 @@ func TestAdmissionFairness(t *testing.T) {
 			gate := NewStallGate()
 			var mu sync.Mutex
 			var grantOrder []string
-			weights := map[string]int{}
 			total := 0
 			for _, s := range specs {
-				weights[s.id] = s.weight
 				total += s.jobs
 			}
 			r := NewRunner(RunnerOptions{
-				Workers:       1,
-				ClientWeights: weights,
+				Workers: 1,
 				Faults: &Faults{
 					OnExecute: func(job Job) {
 						mu.Lock()
@@ -332,16 +329,16 @@ func TestAdmissionFairness(t *testing.T) {
 			}
 
 			// Fair share while all clients stay backlogged: light and tiny
-			// hold 4 jobs each, so for the first 16 grants every client has
-			// work queued. Each client's share must be at least its weight
-			// fraction minus a one-slot-per-round tolerance.
-			window := 16
+			// hold 4 jobs each, so for the first 12 grants every client has
+			// work queued. Each client's share must be at least 1/3 minus a
+			// one-slot-per-round tolerance.
+			window := 12
 			counts := map[string]int{}
 			for _, id := range order[:window] {
 				counts[id]++
 			}
 			for _, s := range specs {
-				share := window * s.weight / (s.weight + 2) // total weight = 4
+				share := window / len(specs)
 				min := share - 2
 				if counts[s.id] < min {
 					t.Errorf("client %s got %d of first %d grants, want >= %d (order %v)",
@@ -732,11 +729,11 @@ func TestWedgedStore(t *testing.T) {
 }
 
 // TestAdmitterSFQDispatchOrder pins the scheduler's dispatch order at the
-// unit level: smallest finish tag first, enqueue order breaking ties, and
-// the weighted client draining proportionally faster.
+// unit level: smallest finish tag first, enqueue order breaking ties, so a
+// client that queued first still alternates with a later one.
 func TestAdmitterSFQDispatchOrder(t *testing.T) {
 	m := newMetrics()
-	a := newAdmitter(1, 0, map[string]int{"w2": 2}, m)
+	a := newAdmitter(1, 0, m)
 
 	// Occupy the only slot so everything queues.
 	if _, err := a.arrive(time.Time{}, "plug", "t0"); err != nil {
@@ -747,7 +744,7 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 		id  string
 		err error
 	}
-	grants := make(chan admitRes, 8)
+	grants := make(chan admitRes, 10)
 	// enqueue submits one waiter and blocks until the admitter has queued
 	// it, so arrival order (and therefore seq tie-breaking) is exact.
 	enqueue := func(id string, wantQueued int) {
@@ -766,15 +763,14 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 		}, fmt.Sprintf("waiter %d to queue", wantQueued))
 	}
 
-	// Enqueue deterministically: w2, w2, w1, w1.
-	for i, id := range []string{"w2", "w2", "w1", "w1"} {
+	// Enqueue deterministically: a, a, a, b, b.
+	for i, id := range []string{"a", "a", "a", "b", "b"} {
 		enqueue(id, i+1)
 	}
 
-	// Finish tags: w2 jobs at 0.5, 1.0; w1 jobs at 1.0, 2.0. Expected
-	// dispatch: w2 (0.5), then w2 (1.0, earlier seq than w1's 1.0), then
-	// w1 (1.0), then w1 (2.0).
-	want := []string{"w2", "w2", "w1", "w1"}
+	// Finish tags: a's jobs at 1, 2, 3; b's at 1, 2. Expected dispatch:
+	// a (1, earlier seq than b's 1), b (1), a (2), b (2), a (3).
+	want := []string{"a", "b", "a", "b", "a"}
 	for i, wantID := range want {
 		a.release(10 * time.Millisecond)
 		got := <-grants

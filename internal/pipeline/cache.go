@@ -261,18 +261,6 @@ func (c *Cache) insertLocked(key Key, res *Compiled) {
 	}
 }
 
-// Lookup returns the cached artifact for a key without compiling, or nil.
-// It does not disturb the LRU order and counts neither hit nor miss; it
-// exists for introspection (ccserve's cache probe).
-func (c *Cache) Lookup(key Key) *Compiled {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		return el.Value.(*Compiled)
-	}
-	return nil
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

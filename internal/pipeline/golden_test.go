@@ -156,12 +156,15 @@ func TestMetricsScriptGolden(t *testing.T) {
 		Workers:      1,
 		QueueDepth:   1,
 		CoalesceJobs: true,
-		Faults: &Faults{ExecGate: func(j Job) <-chan struct{} {
-			if j.Name == "plug.c" {
-				return plug
-			}
-			return nil
-		}},
+		Faults: &Faults{
+			OnExecute: panicOn("boom.c").OnExecute,
+			ExecGate: func(j Job) <-chan struct{} {
+				if j.Name == "plug.c" {
+					return plug
+				}
+				return nil
+			},
+		},
 	})
 	ctx := context.Background()
 	n := 0
@@ -187,9 +190,7 @@ func TestMetricsScriptGolden(t *testing.T) {
 	if res := r.Do(ctx, trap); res.Err != nil || res.Run == nil || !res.Run.Trapped {
 		t.Fatalf("trap: %+v", res)
 	}
-	boom := job("boom.c", tinyOK)
-	boom.testPanic = true
-	expect("panic", r.Do(ctx, boom), false)
+	expect("panic", r.Do(ctx, job("boom.c", tinyOK)), false)
 
 	// Plug the one worker; a queued job times out, the next fills the
 	// queue, one more sheds, and an identical copy of the queued job

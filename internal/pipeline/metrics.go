@@ -200,43 +200,50 @@ func (m *metrics) phaseHist(name string) *LogHist {
 	return h
 }
 
+// jobFinished counts one executed job and observes its timing, all of it
+// read from the job's spans: the request span is the e2e latency of every
+// job, and a successful job's compile span (when it compiled rather than
+// hit the cache), its compile phases and its run span feed the compile,
+// phase and run histograms.
 func (m *metrics) jobFinished(res *JobResult) {
-	m.e2eWall.Observe(res.E2E, res.TraceID)
 	m.mu.Lock()
 	m.acc.JobsInFlight--
 	m.acc.JobsRun++
 	if res.Err != nil {
 		m.acc.JobsFailed++
-		m.mu.Unlock()
-		return
-	}
-	if !res.CacheHit {
-		m.acc.FuncsRecured += uint64(res.Incr.Recured)
-		m.acc.FuncsLoaded += uint64(res.Incr.Loaded)
-	}
-	if res.Run != nil {
-		m.acc.RunsExecuted++
-		if res.Run.Trapped {
-			m.acc.Traps++
-			if m.acc.TrapsByKind == nil {
-				m.acc.TrapsByKind = make(map[string]uint64)
+	} else {
+		if !res.CacheHit {
+			m.acc.FuncsRecured += uint64(res.Incr.Recured)
+			m.acc.FuncsLoaded += uint64(res.Incr.Loaded)
+		}
+		if res.Run != nil {
+			m.acc.RunsExecuted++
+			if res.Run.Trapped {
+				m.acc.Traps++
+				if m.acc.TrapsByKind == nil {
+					m.acc.TrapsByKind = make(map[string]uint64)
+				}
+				m.acc.TrapsByKind[res.Run.TrapKind]++
 			}
-			m.acc.TrapsByKind[res.Run.TrapKind]++
 		}
 	}
 	m.mu.Unlock()
 
-	if !res.CacheHit {
-		m.compileWall.Observe(res.CompileTime, res.TraceID)
-		// Per-phase durations of the compile this job performed.
-		for _, sp := range res.Phases {
-			if sp.Depth == 2 && phaseNames[sp.Name] {
-				m.phaseHist(sp.Name).ObserveMS(sp.DurMS, res.TraceID)
-			}
+	for _, sp := range res.Phases {
+		switch {
+		case sp.Depth == 0 && sp.Name == "request":
+			m.e2eWall.ObserveMS(sp.DurMS, res.TraceID)
+		case res.Err != nil:
+			// A failed job contributes its e2e latency only.
+		case sp.Depth == 1 && sp.Name == "run":
+			m.runWall.ObserveMS(sp.DurMS, res.TraceID)
+		case res.CacheHit:
+			// A cache hit's compile window is a lookup, not a compile.
+		case sp.Depth == 1 && sp.Name == "compile":
+			m.compileWall.ObserveMS(sp.DurMS, res.TraceID)
+		case sp.Depth == 2 && phaseNames[sp.Name]:
+			m.phaseHist(sp.Name).ObserveMS(sp.DurMS, res.TraceID)
 		}
-	}
-	if res.Run != nil {
-		m.runWall.Observe(res.RunTime, res.TraceID)
 	}
 }
 

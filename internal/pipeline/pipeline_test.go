@@ -231,13 +231,23 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
+// panicOn returns a fault harness whose OnExecute hook panics for jobs
+// with the given name, inside the Runner's per-job panic isolation.
+func panicOn(name string) *Faults {
+	return &Faults{OnExecute: func(j Job) {
+		if j.Name == name {
+			panic("injected test panic")
+		}
+	}}
+}
+
 // TestPanicIsolation injects a panicking job into a batch and demands the
 // batch completes with the panic contained in that job's result.
 func TestPanicIsolation(t *testing.T) {
-	r := NewRunner(RunnerOptions{Workers: 2})
+	r := NewRunner(RunnerOptions{Workers: 2, Faults: panicOn("boom.c")})
 	jobs := []Job{
 		{Name: "ok1.c", Source: tinyOK, Run: true, Mode: gocured.ModeCured},
-		{Name: "boom.c", Source: tinyOK, testPanic: true},
+		{Name: "boom.c", Source: tinyOK},
 		{Name: "ok2.c", Source: tinyOK, Run: true, Mode: gocured.ModeRaw},
 	}
 	results := r.DoAll(context.Background(), jobs)
@@ -337,17 +347,18 @@ func TestMetricsObservability(t *testing.T) {
 // Phases list must stay inside [compile start, compile end] — never a
 // negative start overlapping queue-wait.
 func TestTimelineStoreSpanClamp(t *testing.T) {
-	enq := time.Now()
-	tl := &timeline{
-		compStart:    enq.Add(2 * time.Millisecond),
-		compDur:      10 * time.Millisecond,
-		tier:         "disk",
-		storeReads:   4,
-		storeWrites:  2,
-		storeReadMS:  25, // 25 + 9 = 34ms of summed I/O in a 10ms window
-		storeWriteMS: 9,
+	prog, err := gocured.Compile("a.c", tinyOK, gocured.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	spans := tl.spans(enq, 2*time.Millisecond, 12*time.Millisecond)
+	fresh := &Compiled{
+		Program:      prog,
+		StoreReads:   4,
+		StoreWrites:  2,
+		StoreReadMS:  25, // 25 + 9 = 34ms of summed I/O in a 10ms window
+		StoreWriteMS: 9,
+	}
+	spans := appendCompileSpans(nil, 2, 10, "disk", fresh)
 	cs, ce := 2.0, 12.0
 	found := 0
 	for _, sp := range spans {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gocured"
-	"gocured/internal/flight"
 	"gocured/internal/store"
 	"gocured/internal/trace"
 )
@@ -33,12 +32,6 @@ type RunnerOptions struct {
 	// pathological jobs exert backpressure instead of accumulating
 	// unbounded goroutines.
 	JobTimeout time.Duration
-	// Flight, when non-nil, records every job's compile/run phases into
-	// per-worker flight-recorder rings (wall-clock µs timestamps). Export
-	// them with flight.WriteTrace(w, Flight.Rings()) for a Perfetto view
-	// of pipeline concurrency (one track per worker slot). Nil disables
-	// recording at the cost of one nil comparison per job.
-	Flight *flight.Recorder
 	// Store, when non-nil, is the persistent artifact store used as the
 	// cache's second tier: compiles replay per-function inference summaries
 	// from it, so a restarted process serves warm compiles from disk.
@@ -46,7 +39,9 @@ type RunnerOptions struct {
 	// TraceBufferEntries bounds the request-trace buffer behind Traces()
 	// and GET /traces/{id} (0 = trace.DefaultBufferEntries; negative
 	// disables request-trace retention — jobs still get trace IDs and span
-	// timelines, they just are not kept for later query).
+	// timelines, they just are not kept for later query). The buffer is
+	// also the pipeline's Perfetto source: ccbench -trace-dir renders each
+	// retained trace as its own track.
 	TraceBufferEntries int
 	// QueueDepth bounds the admission queue: at most this many jobs wait
 	// for worker slots at once, and further arrivals are shed with a
@@ -54,10 +49,6 @@ type RunnerOptions struct {
 	// unbounded — right for batch drivers (ccbench submits a whole corpus
 	// at once); ccserve always sets a bound.
 	QueueDepth int
-	// ClientWeights maps client IDs to fair-queue weights; absent clients
-	// get DefaultClientWeight. A weight-2 client is entitled to twice the
-	// admitted share of a weight-1 client when both are backlogged.
-	ClientWeights map[string]int
 	// CoalesceJobs enables runner-level coalescing: identical in-flight
 	// jobs (same cache key AND same run options — see coalesceKey) share
 	// one admission slot and one execution, and every caller receives the
@@ -84,7 +75,7 @@ type Job struct {
 	TraceID string
 
 	// ClientID keys per-client fair queueing: under contention, admission
-	// shares worker slots across distinct ClientIDs by weight, so one
+	// shares worker slots equally across distinct ClientIDs, so one
 	// flooding tenant cannot starve the rest. Empty means the anonymous
 	// client (all unattributed jobs share one fair-queue lane). ccserve
 	// sets it from the client-ID header or the remote address.
@@ -97,10 +88,6 @@ type Job struct {
 
 	// Timeout overrides the Runner's JobTimeout when positive.
 	Timeout time.Duration
-
-	// testPanic makes execute panic before doing any work; package tests
-	// inject it to exercise the per-job panic isolation.
-	testPanic bool
 }
 
 // JobResult is the outcome of one Job.
@@ -130,21 +117,18 @@ type JobResult struct {
 	// Run is the execution result for run jobs.
 	Run *gocured.Result
 
-	// Phases is the request's span timeline in pre-order with Depth
-	// nesting: a root "request" span (depth 0); "queue-wait", "compile"
-	// and "run" children (depth 1); and under "compile" the cache-tier
-	// lookup, the compile phases (parse/sema/lower/infer/instrument/...,
-	// on non-hits), and aggregated store-read/store-write spans (depth 2).
-	// Offsets are milliseconds from the moment Do admitted the job.
+	// Phases is the job's only timing record: its span timeline in
+	// pre-order with Depth nesting. The root "request" span (depth 0) is
+	// the end-to-end latency (queue wait + compile/cache + run) on every
+	// exit path, panics included. Its depth-1 children are "queue-wait",
+	// "compile" and "run", each present once that step has finished. Under
+	// "compile" (depth 2) sit the cache-tier lookup ("cache-<tier>"), the
+	// compile phases (parse/sema/lower/infer/instrument/..., on non-hits),
+	// and aggregated store-read/store-write spans. Offsets are milliseconds
+	// from the moment Do admitted the job. The Runner's metrics read their
+	// e2e, compile and run wall times from these spans. A coalesced
+	// follower carries its leader's Phases.
 	Phases []trace.Span
-
-	// QueueWait is the time the job waited for a worker slot; E2E the
-	// end-to-end latency as the caller experienced it (queue wait +
-	// compile/cache + run).
-	QueueWait   time.Duration
-	E2E         time.Duration
-	CompileTime time.Duration
-	RunTime     time.Duration
 
 	// Err is non-nil on compile errors, run errors, panics (isolated per
 	// job) and timeouts. A trapped execution is not an error: see
@@ -182,7 +166,7 @@ func NewRunner(opts RunnerOptions) *Runner {
 		bus:     NewBus(),
 		flights: make(map[string]*call[*JobResult]),
 	}
-	r.adm = newAdmitter(opts.Workers, opts.QueueDepth, opts.ClientWeights, r.m)
+	r.adm = newAdmitter(opts.Workers, opts.QueueDepth, r.m)
 	if opts.CacheEntries >= 0 {
 		r.cache = NewCache(opts.CacheEntries)
 		r.cache.SetStore(opts.Store)
@@ -331,9 +315,9 @@ func (r *Runner) waitFlight(ctx context.Context, job Job, f *call[*JobResult], l
 		if leader {
 			return f.res
 		}
-		// Followers share the payload (Program, Stats, Run — all immutable
-		// after completion) under their own envelope: the tier says the
-		// request was coalesced, and timing reflects this caller's wait.
+		// Followers share the payload (Program, Stats, Run, Phases — all
+		// immutable after completion) under their own envelope: the tier
+		// says the request was coalesced.
 		// The TraceID stays the follower's own: trace-context propagation
 		// promises the caller its trace-id back on every response, and a
 		// caller that minted a traceparent must see that id echoed even
@@ -343,12 +327,10 @@ func (r *Runner) waitFlight(ctx context.Context, job Job, f *call[*JobResult], l
 		cp := *f.res
 		cp.Tier = "coalesced"
 		cp.CacheHit = cp.Err == nil
-		cp.QueueWait = 0
-		cp.E2E = time.Since(enq)
 		if job.TraceID != f.res.TraceID {
 			cp.TraceID = job.TraceID
 			if r.traces != nil {
-				durMS := float64(cp.E2E) / float64(time.Millisecond)
+				durMS := ms(time.Since(enq))
 				rt := trace.ReqTrace{ID: job.TraceID, Name: job.Name, Start: enq, DurMS: durMS,
 					Spans: []trace.Span{{Name: "coalesced onto trace " + f.res.TraceID, DurMS: durMS}}}
 				if cp.Err != nil {
@@ -415,99 +397,29 @@ func (r *Runner) Compile(ctx context.Context, name, source string, opts gocured.
 	return r.Do(ctx, Job{Name: name, Source: source, Options: opts})
 }
 
-// timeline collects the raw timing facts execute gathers so the request's
-// span tree can be assembled once, at the end, whatever path (success,
-// compile error, panic) the job took.
-type timeline struct {
-	compStart time.Time
-	compDur   time.Duration
-	tier      string
-	// progSpans are the compile's own phase spans (offsets relative to the
-	// compile start); nil when the compile was served from cache.
-	progSpans []trace.Span
-	// Aggregated artifact-store I/O performed by this compile.
-	storeReadMS  float64
-	storeWriteMS float64
-	storeReads   int
-	storeWrites  int
-	runStart     time.Time
-	runDur       time.Duration
-}
-
-// spans assembles the pre-order, depth-annotated request timeline. All
-// offsets are milliseconds from enq (the moment Do admitted the job).
-func (tl *timeline) spans(enq time.Time, wait, e2e time.Duration) []trace.Span {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	out := []trace.Span{
-		{Name: "request", DurMS: ms(e2e)},
-		{Name: "queue-wait", DurMS: ms(wait), Depth: 1},
-	}
-	if !tl.compStart.IsZero() {
-		cs := ms(tl.compStart.Sub(enq))
-		cd := ms(tl.compDur)
-		out = append(out, trace.Span{Name: "compile", StartMS: cs, DurMS: cd, Depth: 1})
-		// The cache-tier span covers the lookup: on a memory/inflight hit
-		// that is the whole compile window; on a miss it is the (tiny)
-		// address computation before compiling.
-		tierDur := cd
-		if tl.progSpans != nil {
-			tierDur = 0
-		}
-		out = append(out, trace.Span{Name: "cache-" + tl.tier, StartMS: cs, DurMS: tierDur, Depth: 2})
-		for _, sp := range tl.progSpans {
-			sp.StartMS += cs
-			sp.Depth += 2
-			out = append(out, sp)
-		}
-		// Store I/O is interleaved with inference; surface it as aggregate
-		// spans at the end of the compile window. The aggregates sum wall
-		// time across concurrent inference goroutines, so they can exceed
-		// the compile duration — clamp each span into the compile window so
-		// the raw Phases list in the /cure response is well-formed (never a
-		// negative start or an overlap into queue-wait), not just the
-		// sanitized GET /traces/{id} export.
-		clamp := func(start, dur float64) (float64, float64) {
-			if start < cs {
-				start = cs
-			}
-			if end := cs + cd; start+dur > end {
-				dur = end - start
-			}
-			if dur < 0 {
-				dur = 0
-			}
-			return start, dur
-		}
-		if tl.storeReads > 0 {
-			start, dur := clamp(cs+cd-tl.storeReadMS-tl.storeWriteMS, tl.storeReadMS)
-			out = append(out, trace.Span{Name: "store-read", StartMS: start, DurMS: dur, Depth: 2})
-		}
-		if tl.storeWrites > 0 {
-			start, dur := clamp(cs+cd-tl.storeWriteMS, tl.storeWriteMS)
-			out = append(out, trace.Span{Name: "store-write", StartMS: start, DurMS: dur, Depth: 2})
-		}
-	}
-	if !tl.runStart.IsZero() {
-		out = append(out, trace.Span{Name: "run", StartMS: ms(tl.runStart.Sub(enq)), DurMS: ms(tl.runDur), Depth: 1})
-	}
-	return out
-}
+// ms converts a duration to the float milliseconds every span carries.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // execute runs one job on the calling goroutine. Panics anywhere in the
 // compile/run path are isolated into Err so one pathological source cannot
 // take down a batch. enq/wait carry the queue timing measured by Do.
+//
+// Each span is appended to res.Phases as its step finishes; the root
+// "request" span is patched with the end-to-end time at exit, so every
+// path — success, compile error, panic — leaves a complete timeline and
+// a queryable trace.
 func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobResult) {
-	res = &JobResult{Name: job.Name, TraceID: job.TraceID, QueueWait: wait}
-	tl := &timeline{}
-	// Registered first so it runs last (after the recover defer below has
-	// isolated any panic into res.Err): every exit path — success, compile
-	// error, panic — leaves a complete timeline and a queryable trace.
+	res = &JobResult{Name: job.Name, TraceID: job.TraceID, Phases: []trace.Span{
+		{Name: "request"},
+		{Name: "queue-wait", DurMS: ms(wait), Depth: 1},
+	}}
+	// Registered first so it runs last, after the recover below has
+	// isolated any panic into res.Err.
 	defer func() {
-		res.E2E = time.Since(enq)
-		res.Phases = tl.spans(enq, wait, res.E2E)
+		res.Phases[0].DurMS = ms(time.Since(enq))
 		if r.traces != nil {
 			rt := trace.ReqTrace{ID: res.TraceID, Name: job.Name, Start: enq,
-				DurMS: float64(res.E2E) / float64(time.Millisecond), Spans: res.Phases}
+				DurMS: res.Phases[0].DurMS, Spans: res.Phases}
 			if res.Err != nil {
 				rt.Err = res.Err.Error()
 			}
@@ -520,51 +432,27 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 			res.Err = fmt.Errorf("job %q (trace %s) panicked: %v\n%s", job.Name, job.TraceID, p, debug.Stack())
 		}
 	}()
-	if job.testPanic {
-		panic("injected test panic")
-	}
 	// Fault injection (tests only; both calls are nil checks in production).
 	r.opts.Faults.beforeExec(job)
 	defer r.opts.Faults.afterExec(job)
 
-	// Flight recording: one ring per worker slot, checked out for the
-	// job's duration so concurrent jobs land on separate Perfetto tracks.
-	var ring *flight.Ring
-	rec := r.opts.Flight
-	if rec != nil {
-		ring = rec.Checkout()
-		defer rec.Release(ring)
-		ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvBegin, Name: "job " + job.Name})
-		defer func() {
-			if res.Run != nil && res.Run.Trapped {
-				ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvTrap,
-					Name: res.Run.TrapKind, Pos: res.Run.TrapPos})
-			}
-			ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvEnd, Name: "job " + job.Name})
-		}()
-	}
 	r.bus.Publish(JobEvent{Type: "job_start", Name: job.Name, Mode: job.Mode.String(), TraceID: job.TraceID})
 	start := time.Now()
 	defer func() {
 		ev := JobEvent{Type: "job_done", Name: job.Name, Mode: job.Mode.String(), TraceID: job.TraceID,
-			CacheHit: res.CacheHit, DurMS: float64(time.Since(start)) / float64(time.Millisecond)}
+			CacheHit: res.CacheHit, DurMS: ms(time.Since(start))}
 		if res.Err != nil {
 			ev.Err = res.Err.Error()
 		}
 		r.bus.Publish(ev)
 	}()
 
-	if ring != nil {
-		ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvBegin, Name: "compile"})
-	}
-	tl.compStart = start
 	compiled, lk, err := r.compile(job)
-	res.CompileTime = time.Since(start)
-	tl.compDur = res.CompileTime
-	tl.tier = lk.Tier
-	if ring != nil {
-		ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvEnd, Name: "compile"})
+	fresh := compiled
+	if err != nil || lk.Hit {
+		fresh = nil
 	}
+	res.Phases = appendCompileSpans(res.Phases, ms(start.Sub(enq)), ms(time.Since(start)), lk.Tier, fresh)
 	if err != nil {
 		res.Err = fmt.Errorf("compile %s (trace %s): %w", job.Name, job.TraceID, err)
 		return res
@@ -576,13 +464,6 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 	res.Incr = compiled.Incr
 	res.CacheHit = lk.Hit
 	res.Tier = lk.Tier
-	if !lk.Hit {
-		tl.progSpans = compiled.Program.Spans()
-		tl.storeReadMS = compiled.StoreReadMS
-		tl.storeWriteMS = compiled.StoreWriteMS
-		tl.storeReads = compiled.StoreReads
-		tl.storeWrites = compiled.StoreWrites
-	}
 
 	if !job.Run {
 		return res
@@ -592,16 +473,9 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 		ro.StepLimit = r.opts.DefaultStepLimit
 	}
 	runStart := time.Now()
-	tl.runStart = runStart
-	if ring != nil {
-		ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvBegin, Name: "run " + job.Mode.String()})
-	}
 	out, err := compiled.Program.Run(job.Mode, ro)
-	res.RunTime = time.Since(runStart)
-	tl.runDur = res.RunTime
-	if ring != nil {
-		ring.Record(flight.Event{TS: rec.NowMicros(), Kind: flight.EvEnd, Name: "run " + job.Mode.String()})
-	}
+	res.Phases = append(res.Phases, trace.Span{Name: "run", StartMS: ms(runStart.Sub(enq)),
+		DurMS: ms(time.Since(runStart)), Depth: 1})
 	if err != nil {
 		res.Err = fmt.Errorf("run %s (%s, trace %s): %w", job.Name, job.Mode, job.TraceID, err)
 		return res
@@ -612,6 +486,54 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 			TrapKind: out.TrapKind, TrapPos: out.TrapPos})
 	}
 	return res
+}
+
+// appendCompileSpans appends the "compile" span starting cs ms into the
+// request and lasting cd ms, then its children: the cache-tier lookup and,
+// when fresh is the artifact this job compiled itself, the compile's own
+// phase spans and its aggregated artifact-store I/O.
+func appendCompileSpans(out []trace.Span, cs, cd float64, tier string, fresh *Compiled) []trace.Span {
+	out = append(out, trace.Span{Name: "compile", StartMS: cs, DurMS: cd, Depth: 1})
+	// The cache-tier span covers the lookup: on a hit (or a failed compile)
+	// that is the whole compile window; on a fresh compile it is the
+	// (tiny) address computation before compiling.
+	if fresh == nil {
+		return append(out, trace.Span{Name: "cache-" + tier, StartMS: cs, DurMS: cd, Depth: 2})
+	}
+	out = append(out, trace.Span{Name: "cache-" + tier, StartMS: cs, Depth: 2})
+	for _, sp := range fresh.Program.Spans() {
+		sp.StartMS += cs
+		sp.Depth += 2
+		out = append(out, sp)
+	}
+	// Store I/O is interleaved with inference; surface it as aggregate
+	// spans at the end of the compile window. The aggregates sum wall time
+	// across concurrent inference goroutines, so they can exceed the
+	// compile duration — clamp each span into the compile window so the
+	// raw Phases list in the /cure response is well-formed (never a
+	// negative start or an overlap into queue-wait), not just the
+	// sanitized GET /traces/{id} export.
+	clamp := func(start, dur float64) (float64, float64) {
+		if start < cs {
+			start = cs
+		}
+		if end := cs + cd; start+dur > end {
+			dur = end - start
+		}
+		if dur < 0 {
+			dur = 0
+		}
+		return start, dur
+	}
+	if fresh.StoreReads > 0 {
+		start, dur := clamp(cs+cd-fresh.StoreReadMS-fresh.StoreWriteMS, fresh.StoreReadMS)
+		out = append(out, trace.Span{Name: "store-read", StartMS: start, DurMS: dur, Depth: 2})
+	}
+	if fresh.StoreWrites > 0 {
+		start, dur := clamp(cs+cd-fresh.StoreWriteMS, fresh.StoreWriteMS)
+		out = append(out, trace.Span{Name: "store-write", StartMS: start, DurMS: dur, Depth: 2})
+	}
+	return out
 }
 
 func (r *Runner) compile(job Job) (*Compiled, Lookup, error) {
