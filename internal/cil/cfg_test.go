@@ -23,6 +23,22 @@ func fnOf(stmts ...Stmt) *Func {
 	return &Func{Name: "f", Body: &Block{Stmts: stmts}}
 }
 
+// blockSetting returns the block holding the Set of constant val.
+func blockSetting(t *testing.T, g *CFG, val int64) *BBlock {
+	t.Helper()
+	for _, b := range g.Blocks {
+		for _, si := range b.Instrs {
+			if s, ok := si.Ins.(*Set); ok {
+				if c, ok := s.RHS.(*Const); ok && c.I == val {
+					return b
+				}
+			}
+		}
+	}
+	t.Fatalf("no block sets %d", val)
+	return nil
+}
+
 func TestCFGStraightLine(t *testing.T) {
 	v := intVar("x", 0)
 	g := BuildCFG(fnOf(setI(v, 1), setI(v, 2)))
@@ -59,20 +75,15 @@ func TestCFGIfJoin(t *testing.T) {
 	if len(join.Instrs) != 1 {
 		t.Errorf("join block has %d instrs, want 1", len(join.Instrs))
 	}
-	d := g.Dominators()
-	if !d.Dominates(g.Entry, join) {
-		t.Errorf("entry must dominate the join")
-	}
+	// A diamond: each arm is entered only from the branch head, and the
+	// join only from the two arms.
 	for _, arm := range g.Entry.Succs {
-		if d.Dominates(arm, join) {
-			t.Errorf("an if arm must not dominate the join")
-		}
-		if d.Idom(arm) != g.Entry {
-			t.Errorf("arm idom = %v, want entry", d.Idom(arm))
+		if len(arm.Preds) != 1 || arm.Preds[0] != g.Entry {
+			t.Errorf("arm %d has preds %v, want only the branch head", arm.ID, arm.Preds)
 		}
 	}
-	if d.Idom(join) != g.Entry {
-		t.Errorf("join idom should be the branch head")
+	if len(join.Preds) != 2 {
+		t.Errorf("join has %d preds, want the two arms", len(join.Preds))
 	}
 }
 
@@ -99,31 +110,23 @@ func TestCFGLoopShape(t *testing.T) {
 	post := &Block{Stmts: []Stmt{setI(v, 3)}}
 	fn := fnOf(setI(v, 1), &Loop{Body: body, Post: post}, setI(v, 4))
 	g := BuildCFG(fn)
-	d := g.Dominators()
-	loops := g.NaturalLoops(d)
-	if len(loops) != 1 {
-		t.Fatalf("found %d natural loops, want 1", len(loops))
+	if len(g.Entry.Succs) != 1 {
+		t.Fatalf("entry has %d successors, want the loop header", len(g.Entry.Succs))
 	}
-	l := loops[0]
-	// Header dominates every block of the loop.
-	for b := range l.Blocks {
-		if !d.Dominates(l.Head, b) {
-			t.Errorf("loop header does not dominate block %d", b.ID)
-		}
+	header := g.Entry.Succs[0]
+	// The post block (holding i=3) is the back edge to the header.
+	if post := blockSetting(t, g, 3); len(post.Succs) != 1 || post.Succs[0] != header {
+		t.Errorf("post block %d does not branch back to the header", post.ID)
 	}
-	// The post block (holding i=3) is part of the loop.
-	found := false
-	for b := range l.Blocks {
-		for _, si := range b.Instrs {
-			if s, ok := si.Ins.(*Set); ok {
-				if c, ok := s.RHS.(*Const); ok && c.I == 3 {
-					found = true
-				}
-			}
-		}
+	// The break arm of the header's guard is the loop's only edge to the
+	// block after it (holding i=4).
+	after := blockSetting(t, g, 4)
+	if len(after.Preds) != 1 {
+		t.Fatalf("block after the loop has %d preds, want the break", len(after.Preds))
 	}
-	if !found {
-		t.Errorf("post block not collected into the natural loop")
+	brk := after.Preds[0]
+	if len(brk.Succs) != 1 || len(brk.Preds) != 1 || brk.Preds[0] != header {
+		t.Errorf("break block %d is not the header's guard arm ending the loop", brk.ID)
 	}
 }
 
@@ -135,20 +138,28 @@ func TestCFGNestedLoops(t *testing.T) {
 	inner := &Loop{Body: &Block{Stmts: []Stmt{brk(), setI(v, 2)}}}
 	outer := &Loop{Body: &Block{Stmts: []Stmt{brk(), inner, setI(v, 3)}}}
 	g := BuildCFG(fnOf(outer))
-	d := g.Dominators()
-	loops := g.NaturalLoops(d)
-	if len(loops) != 2 {
-		t.Fatalf("found %d natural loops, want 2", len(loops))
+	// A retreating edge goes to a block no later in reverse postorder; each
+	// loop contributes exactly one, to its own header.
+	rpo := g.ReversePostorder()
+	order := make(map[*BBlock]int)
+	for i, b := range rpo {
+		order[b] = i
 	}
-	// One loop body must strictly contain the other.
-	a, b := loops[0], loops[1]
-	if len(a.Blocks) < len(b.Blocks) {
-		a, b = b, a
-	}
-	for blk := range b.Blocks {
-		if !a.Blocks[blk] {
-			t.Fatalf("inner loop block %d not contained in outer loop", blk.ID)
+	heads := make(map[*BBlock]bool)
+	n := 0
+	for _, b := range rpo {
+		for _, s := range b.Succs {
+			if order[s] <= order[b] {
+				n++
+				heads[s] = true
+			}
 		}
+	}
+	if n != 2 || len(heads) != 2 {
+		t.Fatalf("%d retreating edges to %d headers, want one per loop", n, len(heads))
+	}
+	if !heads[g.Entry.Succs[0]] {
+		t.Errorf("no retreating edge to the outer loop header")
 	}
 }
 
@@ -167,19 +178,6 @@ func TestCFGDeadCodeUnreachable(t *testing.T) {
 	if len(rpo) >= len(g.Blocks) {
 		t.Errorf("expected unreachable blocks to be excluded from RPO (%d blocks, %d in RPO)",
 			len(g.Blocks), len(rpo))
-	}
-	d := g.Dominators()
-	// Unreachable blocks dominate nothing.
-	for _, b := range g.Blocks {
-		reachable := false
-		for _, r := range rpo {
-			if r == b {
-				reachable = true
-			}
-		}
-		if !reachable && d.Dominates(b, g.Exit) {
-			t.Errorf("unreachable block %d claims to dominate the exit", b.ID)
-		}
 	}
 }
 
@@ -209,30 +207,5 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 	}
 	if !fallsThrough {
 		t.Errorf("case 0 does not fall through to case 1")
-	}
-}
-
-func TestDominatorsDiamond(t *testing.T) {
-	// Diamond: A -> B, A -> C, B -> D, C -> D. Built via If/Else.
-	v := intVar("x", 0)
-	fn := fnOf(
-		&If{Cond: &Lval{LV: VarLV(v)},
-			Then: &Block{Stmts: []Stmt{setI(v, 1)}},
-			Else: &Block{Stmts: []Stmt{setI(v, 2)}}},
-		&Return{},
-	)
-	g := BuildCFG(fn)
-	d := g.Dominators()
-	if d.Idom(g.Entry) != nil {
-		t.Errorf("entry has an idom")
-	}
-	// Exit's idom is the join (which holds no instrs here but leads to
-	// exit); walking idoms from exit must reach entry.
-	steps := 0
-	for b := g.Exit; b != nil; b = d.Idom(b) {
-		steps++
-		if steps > len(g.Blocks) {
-			t.Fatalf("idom chain from exit does not terminate")
-		}
 	}
 }

@@ -276,9 +276,6 @@ func (in *inferrer) finalize() {
 	}
 }
 
-// Kinds returns the solved kind for a type occurrence.
-func (r *Result) Kinds(t *ctypes.Type) qual.Kind { return r.Graph.KindOf(t) }
-
 // Stats summarizes the static pointer-kind distribution (the sf/sq/w/rt
 // columns of Figures 8 and 9) and the cast classification of §3.
 type Stats struct {

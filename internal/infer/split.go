@@ -16,8 +16,7 @@ import (
 
 type snode struct {
 	split   bool
-	noSplit bool   // pinned NOSPLIT by annotation
-	why     string // provenance: what made the class SPLIT
+	noSplit bool // pinned NOSPLIT by annotation
 	parent  *snode
 	rank    int
 	// down lists nodes this one forces SPLIT onto (base types, fields).
@@ -63,21 +62,6 @@ func (r *SplitResult) IsSplit(t *ctypes.Type) bool {
 		return n.find().split
 	}
 	return false
-}
-
-// SplitWhy returns the provenance of a SPLIT decision ("annotated __SPLIT",
-// "split-all mode", "contained in a SPLIT type", ...), or "" when t is not
-// split.
-func (r *SplitResult) SplitWhy(t *ctypes.Type) string {
-	if n, ok := r.nodes[t]; ok {
-		if rn := n.find(); rn.split {
-			if rn.why == "" {
-				return "unified with a SPLIT type"
-			}
-			return rn.why
-		}
-	}
-	return ""
 }
 
 type splitInf struct {
@@ -129,15 +113,11 @@ func (si *splitInf) node(t *ctypes.Type) *snode {
 	switch t.SplitAnnot {
 	case ctypes.SAnnSplit:
 		n.split = true
-		n.why = "annotated __SPLIT"
 	case ctypes.SAnnNoSplit:
 		n.noSplit = true
 	}
 	if si.splitAll {
 		n.split = true
-		if n.why == "" {
-			n.why = "split-all mode"
-		}
 	}
 	si.res.nodes[t] = n
 	return n
@@ -158,9 +138,6 @@ func (si *splitInf) union(a, b *snode) {
 		ra.rank++
 	}
 	rb.parent = ra
-	if rb.split && !ra.split {
-		ra.why = rb.why
-	}
 	ra.split = ra.split || rb.split
 	ra.noSplit = ra.noSplit || rb.noSplit
 	ra.down = append(ra.down, rb.down...)
@@ -263,7 +240,6 @@ func (si *splitInf) propagate() {
 				rd := d.find()
 				if !rd.split {
 					rd.split = true
-					rd.why = "contained in a SPLIT type"
 					changed = true
 				}
 			}

@@ -16,8 +16,6 @@ type Cured struct {
 	Lay  *Layout
 	// ChecksInserted counts the static run-time checks added, by kind.
 	ChecksInserted map[cil.CheckKind]int
-	// ChecksEliminated counts checks removed by the redundancy optimizer.
-	ChecksEliminated int
 	// Opt holds the full optimizer statistics (nil when curing ran at -O0).
 	Opt *OptStats
 	// Sites is the static check-site table of the final program, built by

@@ -30,10 +30,7 @@ import (
 //     branches and joins: a check established before an `if` (or in both
 //     arms) still covers the code after the join, and a check dominated by
 //     an identical unkilled check is always removed (availability on every
-//     path subsumes availability on the dominating path). This replaces
-//     the old straight-line pass, whose "entering or leaving nested
-//     control flow clears all facts" conservatism gave loops — exactly
-//     where SEQ bounds checks dominate cost — no relief.
+//     path subsumes availability on the dominating path).
 //
 //  3. SEQ coalescing (per block): adjacent SEQ bounds checks on the same
 //     base pointer with constant element offsets collapse into the first
@@ -54,14 +51,10 @@ import (
 // adjacently, before the statement they guard), so only the trap's column
 // and pointer value can differ — never whether the program traps, the trap
 // kind, or anything it printed.
-
-// Kill rules (shared by every pass):
 //
-//   - a Set to a variable kills facts that mention that variable;
-//   - a store through memory kills facts that read memory or mention
-//     address-taken or global variables (potential aliases);
-//   - a call kills the same set (a callee cannot touch the caller's
-//     non-address-taken locals).
+// The loop pass and availability share one kill rule (writeOf) and one
+// per-function fact table (factTable) that renders each check's key and
+// dependencies once.
 
 // OptStats summarizes one optimization run over a program.
 type OptStats struct {
@@ -75,8 +68,6 @@ type OptStats struct {
 	// static site but stop executing once per iteration.
 	Hoisted int
 	Widened int
-	// EliminatedByKind breaks the static deletions down by check kind.
-	EliminatedByKind map[cil.CheckKind]int
 	// PerFunc maps function name to its per-function statistics.
 	PerFunc map[string]*FuncOpt
 	// Sites attributes every statically deleted check to its source
@@ -92,7 +83,7 @@ func (s *OptStats) Removed() int { return s.Eliminated + s.Coalesced }
 type FuncOpt struct {
 	Before, After                           int // static checks in the body
 	Eliminated, Hoisted, Widened, Coalesced int
-	Blocks, Loops                           int // CFG shape
+	Blocks                                  int // CFG size
 }
 
 // SiteElim records statically deleted checks at one source site.
@@ -105,13 +96,9 @@ type SiteElim struct {
 // Optimize runs the check optimizer over c.Prog and records the statistics
 // on c. It must run after Cure and is skipped entirely at -O0.
 func Optimize(c *Cured) *OptStats {
-	st := &OptStats{
-		EliminatedByKind: make(map[cil.CheckKind]int),
-		PerFunc:          make(map[string]*FuncOpt),
-	}
+	st := &OptStats{PerFunc: make(map[string]*FuncOpt)}
 	siteIdx := make(map[string]int)
 	record := func(chk *cil.Check) {
-		st.EliminatedByKind[chk.Kind]++
 		key := chk.Pos.String() + "|" + chk.Kind.String()
 		if i, ok := siteIdx[key]; ok {
 			st.Sites[i].N++
@@ -122,12 +109,11 @@ func Optimize(c *Cured) *OptStats {
 	}
 	for _, f := range c.Prog.Funcs {
 		fo := &FuncOpt{Before: countChecks(f.Body.Stmts)}
-		hoistLoops(f.Body, fo)
+		facts := newFactTable(f)
+		hoistLoops(f.Body, facts, fo)
 		g := cil.BuildCFG(f)
-		dom := g.Dominators()
 		fo.Blocks = len(g.Blocks)
-		fo.Loops = len(g.NaturalLoops(dom))
-		eliminateAvailable(g, f, fo, record)
+		eliminateAvailable(g, f, facts, fo, record)
 		coalesceSeq(f.Body, c.Lay, fo, record)
 		fo.After = countChecks(f.Body.Stmts)
 		st.PerFunc[f.Name] = fo
@@ -137,7 +123,6 @@ func Optimize(c *Cured) *OptStats {
 		st.Coalesced += fo.Coalesced
 	}
 	c.Opt = st
-	c.ChecksEliminated = st.Removed()
 	return st
 }
 
@@ -151,13 +136,15 @@ func countChecks(stmts []cil.Stmt) int {
 	return n
 }
 
-// ---- fact keys and dependencies ----
+// ---- facts, their dependencies and the kill rule ----
 
 // factDeps describes what a check's operands depend on.
 type factDeps struct {
-	vars     map[*cil.Var]bool
-	memRead  bool
-	addrVars bool // references an address-taken or global variable
+	vars map[*cil.Var]bool
+	// mem: the operands read memory (through a pointer or a variable's
+	// interior) or an address-taken or global variable, so any store
+	// through memory may change them.
+	mem bool
 }
 
 func depsOf(c *cil.Check) factDeps {
@@ -168,19 +155,15 @@ func depsOf(c *cil.Check) factDeps {
 			case *cil.Lval:
 				if v.LV.Var != nil {
 					d.vars[v.LV.Var] = true
-					if v.LV.Var.AddrTaken || v.LV.Var.Global {
-						d.addrVars = true
-					}
-					if len(v.LV.Offset) > 0 {
-						// reading through offsets touches memory
-						d.memRead = true
+					if v.LV.Var.AddrTaken || v.LV.Var.Global || len(v.LV.Offset) > 0 {
+						d.mem = true
 					}
 				} else {
-					d.memRead = true
+					d.mem = true
 				}
 			case *cil.AddrOf:
 				if v.LV.Mem != nil {
-					d.memRead = true
+					d.mem = true
 				}
 			}
 		})
@@ -191,10 +174,50 @@ func depsOf(c *cil.Check) factDeps {
 		if c.DstLV.Var != nil {
 			d.vars[c.DstLV.Var] = true
 		} else {
-			d.memRead = true
+			d.mem = true
 		}
 	}
 	return d
+}
+
+// write is what one instruction may modify.
+type write struct {
+	v   *cil.Var // the variable assigned (nil when none)
+	mem bool     // may store through memory
+}
+
+// writeOf is the kill rule, the only code that decides what an instruction
+// writes; the loop pass and availability both read it:
+//
+//   - a Set writes its variable; a Set into a variable's interior (field
+//     or index) or through a pointer also writes memory;
+//   - a call writes memory, and its result like a Set (a callee cannot
+//     touch the caller's non-address-taken locals);
+//   - a check writes nothing.
+func writeOf(i cil.Instr) write {
+	var w write
+	var lv *cil.Lvalue
+	switch in := i.(type) {
+	case *cil.Check:
+		return w
+	case *cil.Set:
+		lv = in.LV
+	case *cil.Call:
+		w.mem = true
+		lv = in.Result
+	default:
+		panic(fmt.Sprintf("instrument: no kill rule for %T", i))
+	}
+	if lv != nil {
+		w.v = lv.Var
+		w.mem = w.mem || lv.Var == nil || len(lv.Offset) > 0
+	}
+	return w
+}
+
+// killedBy reports whether w can change the outcome of a check with deps d.
+func (d factDeps) killedBy(w write) bool {
+	return d.vars[w.v] || w.mem && d.mem
 }
 
 // keyExpr renders e into b as a value-identity key. Unlike ExprString it
@@ -288,13 +311,54 @@ func factKey(c *cil.Check) string {
 	return b.String()
 }
 
+// factTable numbers the checks of one function by fact key, so identical
+// checks share an ID, and holds each fact's dependencies. It renders every
+// key once, before any pass runs, instead of once per dataflow transfer.
+type factTable struct {
+	ids  map[*cil.Check]int
+	keys map[string]int
+	deps []factDeps // by ID
+}
+
+func newFactTable(f *cil.Func) *factTable {
+	t := &factTable{ids: make(map[*cil.Check]int), keys: make(map[string]int)}
+	cil.WalkInstrs(f.Body.Stmts, func(i cil.Instr) {
+		if c, ok := i.(*cil.Check); ok {
+			t.add(c)
+		}
+	})
+	return t
+}
+
+// add enters c under its fact key.
+func (t *factTable) add(c *cil.Check) {
+	k := factKey(c)
+	id, ok := t.keys[k]
+	if !ok {
+		id = len(t.deps)
+		t.keys[k] = id
+		t.deps = append(t.deps, depsOf(c))
+	}
+	t.ids[c] = id
+}
+
+// id returns c's fact ID. A check missing from the table would silently
+// share fact 0 and could delete a check that is still needed.
+func (t *factTable) id(c *cil.Check) int {
+	id, ok := t.ids[c]
+	if !ok {
+		panic("instrument: check missing from the fact table")
+	}
+	return id
+}
+
 // ---- loop pass: invariant hoisting and induction widening ----
 
 // loopKills summarizes what one loop (body + post, including nested
 // statements) can modify.
 type loopKills struct {
-	vars map[*cil.Var]bool
-	mem  bool // stores through memory or into variable interiors
+	vars map[*cil.Var]int // instructions writing each variable
+	mem  bool
 	call bool
 }
 
@@ -304,33 +368,20 @@ type exitCounts struct {
 }
 
 func summarizeLoop(l *cil.Loop) (loopKills, exitCounts) {
-	k := loopKills{vars: make(map[*cil.Var]bool)}
+	k := loopKills{vars: make(map[*cil.Var]int)}
 	var ex exitCounts
-	killLV := func(lv *cil.Lvalue) {
-		if lv == nil {
-			return
-		}
-		if lv.Var != nil && len(lv.Offset) == 0 {
-			k.vars[lv.Var] = true
-		} else {
-			k.mem = true
-			if lv.Var != nil {
-				k.vars[lv.Var] = true
-			}
-		}
-	}
 	stmts := l.Body.Stmts
 	if l.Post != nil {
 		stmts = append(append([]cil.Stmt{}, stmts...), l.Post.Stmts...)
 	}
 	cil.WalkInstrs(stmts, func(i cil.Instr) {
-		switch in := i.(type) {
-		case *cil.Set:
-			killLV(in.LV)
-		case *cil.Call:
+		w := writeOf(i)
+		if w.v != nil {
+			k.vars[w.v]++
+		}
+		k.mem = k.mem || w.mem
+		if _, ok := i.(*cil.Call); ok {
 			k.call = true
-			k.mem = true
-			killLV(in.Result)
 		}
 	})
 	countExits(stmts, 0, &ex)
@@ -383,45 +434,45 @@ func countExits(stmts []cil.Stmt, depth int, ex *exitCounts) {
 // invariantIn reports whether deps cannot be modified by a loop with the
 // given kill summary.
 func invariantIn(d factDeps, k loopKills, ignore *cil.Var) bool {
+	if d.mem && k.mem {
+		return false
+	}
 	for v := range d.vars {
-		if v != ignore && k.vars[v] {
+		if v != ignore && k.vars[v] > 0 {
 			return false
 		}
-	}
-	if (d.memRead || d.addrVars) && (k.mem || k.call) {
-		return false
 	}
 	return true
 }
 
 // hoistLoops walks the statement tree innermost-loop-first, building a
 // preheader for each loop out of its hoistable prefix checks.
-func hoistLoops(b *cil.Block, fo *FuncOpt) {
+func hoistLoops(b *cil.Block, facts *factTable, fo *FuncOpt) {
 	var out []cil.Stmt
 	for _, s := range b.Stmts {
 		switch st := s.(type) {
 		case *cil.Loop:
-			hoistLoops(st.Body, fo)
+			hoistLoops(st.Body, facts, fo)
 			if st.Post != nil {
-				hoistLoops(st.Post, fo)
+				hoistLoops(st.Post, facts, fo)
 			}
-			out = append(out, hoistFromLoop(st, fo)...)
+			out = append(out, hoistFromLoop(st, facts, fo)...)
 			out = append(out, st)
 		case *cil.If:
-			hoistLoops(st.Then, fo)
+			hoistLoops(st.Then, facts, fo)
 			if st.Else != nil {
-				hoistLoops(st.Else, fo)
+				hoistLoops(st.Else, facts, fo)
 			}
 			out = append(out, st)
 		case *cil.Switch:
 			for _, c := range st.Cases {
 				inner := &cil.Block{Stmts: c.Body}
-				hoistLoops(inner, fo)
+				hoistLoops(inner, facts, fo)
 				c.Body = inner.Stmts
 			}
 			out = append(out, st)
 		case *cil.Block:
-			hoistLoops(st, fo)
+			hoistLoops(st, facts, fo)
 			out = append(out, st)
 		default:
 			out = append(out, s)
@@ -455,6 +506,7 @@ func (ind *induction) maxVal() int64 {
 // guards as nested Ifs, hoistable checks as instructions — into a
 // preheader, and marks the moved checks for removal from the body.
 type hoistScan struct {
+	facts   *factTable
 	kills   loopKills
 	simple  bool // single guard-break exit, no calls: widening is allowed
 	indOK   map[*cil.Var]bool
@@ -469,9 +521,10 @@ type hoistScan struct {
 
 // hoistFromLoop returns the preheader statements for l (nil when nothing
 // hoists) and deletes the moved checks from the loop body.
-func hoistFromLoop(l *cil.Loop, fo *FuncOpt) []cil.Stmt {
+func hoistFromLoop(l *cil.Loop, facts *factTable, fo *FuncOpt) []cil.Stmt {
 	kills, exits := summarizeLoop(l)
 	hs := &hoistScan{
+		facts:  facts,
 		kills:  kills,
 		simple: exits.breaks == 1 && exits.continues == 0 && exits.returns == 0 && !kills.call,
 		indOK:  make(map[*cil.Var]bool),
@@ -479,8 +532,8 @@ func hoistFromLoop(l *cil.Loop, fo *FuncOpt) []cil.Stmt {
 	}
 	hs.cur = &hs.pre
 	if hs.simple {
-		for v := range kills.vars {
-			if unitIncrement(l, v) {
+		for v, n := range kills.vars {
+			if n == 1 && unitIncrement(l, v) {
 				hs.indOK[v] = true
 			}
 		}
@@ -495,31 +548,10 @@ func hoistFromLoop(l *cil.Loop, fo *FuncOpt) []cil.Stmt {
 	return hs.pre
 }
 
-// unitIncrement reports whether v's only modification in the loop is a
-// single top-level `v = v + 1` in the body or post block.
+// unitIncrement reports whether v's one modification in the loop (the
+// caller counts them) is a top-level `v = v + 1` in the body or post block.
 func unitIncrement(l *cil.Loop, v *cil.Var) bool {
 	if v.AddrTaken || v.Global || !v.Type.IsInteger() {
-		return false
-	}
-	// Count every Set targeting v anywhere in the loop.
-	total := 0
-	stmts := l.Body.Stmts
-	if l.Post != nil {
-		stmts = append(append([]cil.Stmt{}, stmts...), l.Post.Stmts...)
-	}
-	cil.WalkInstrs(stmts, func(i cil.Instr) {
-		switch in := i.(type) {
-		case *cil.Set:
-			if in.LV.Var == v && len(in.LV.Offset) == 0 {
-				total++
-			}
-		case *cil.Call:
-			if in.Result != nil && in.Result.Var == v && len(in.Result.Offset) == 0 {
-				total++
-			}
-		}
-	})
-	if total != 1 {
 		return false
 	}
 	// The one Set must be top-level (guaranteed once per iteration) and of
@@ -604,7 +636,7 @@ func (hs *hoistScan) scan(stmts []cil.Stmt) bool {
 			if !ok {
 				return false
 			}
-			d := depsOf(chk)
+			d := hs.facts.deps[hs.facts.id(chk)]
 			if invariantIn(d, hs.kills, nil) {
 				*hs.cur = append(*hs.cur, &cil.SInstr{Ins: chk})
 				hs.moved[st] = true
@@ -612,6 +644,7 @@ func (hs *hoistScan) scan(stmts []cil.Stmt) bool {
 				continue
 			}
 			if w := hs.widen(chk, d); w != nil {
+				hs.facts.add(w)
 				*hs.cur = append(*hs.cur, &cil.SInstr{Ins: chk}, &cil.SInstr{Ins: w})
 				hs.moved[st] = true
 				hs.nWiden++
@@ -847,22 +880,6 @@ func removeMoved(b *cil.Block, del map[*cil.SInstr]bool) {
 
 // ---- available-check elimination (CFG dataflow) ----
 
-type factTable struct {
-	ids  map[string]int
-	deps []factDeps
-}
-
-func (t *factTable) idOf(c *cil.Check) int {
-	k := factKey(c)
-	if id, ok := t.ids[k]; ok {
-		return id
-	}
-	id := len(t.deps)
-	t.ids[k] = id
-	t.deps = append(t.deps, depsOf(c))
-	return id
-}
-
 type factSet map[int]bool
 
 func (s factSet) clone() factSet {
@@ -887,67 +904,22 @@ func (s factSet) equal(o factSet) bool {
 
 // eliminateAvailable runs the availability dataflow over g and deletes
 // every check whose fact already holds on all incoming paths.
-func eliminateAvailable(g *cil.CFG, f *cil.Func, fo *FuncOpt, record func(*cil.Check)) {
-	facts := &factTable{ids: make(map[string]int)}
-	// Intern every check up front so transfer functions are cheap.
-	for _, b := range g.Blocks {
-		for _, si := range b.Instrs {
-			if chk, ok := si.Ins.(*cil.Check); ok {
-				facts.idOf(chk)
-			}
-		}
-	}
-
-	killVar := func(s factSet, v *cil.Var) {
-		for id := range s {
-			if facts.deps[id].vars[v] {
-				delete(s, id)
-			}
-		}
-	}
-	killMem := func(s factSet) {
-		for id := range s {
-			d := facts.deps[id]
-			if d.memRead || d.addrVars {
-				delete(s, id)
-			}
-		}
-	}
-	killLV := func(s factSet, lv *cil.Lvalue) {
-		if lv == nil {
-			return
-		}
-		if lv.Var != nil && len(lv.Offset) == 0 {
-			killVar(s, lv.Var)
-			return
-		}
-		killMem(s)
-		if lv.Var != nil {
-			killVar(s, lv.Var)
-		}
-	}
+func eliminateAvailable(g *cil.CFG, f *cil.Func, facts *factTable, fo *FuncOpt, record func(*cil.Check)) {
 	// transfer simulates one block over s in place; when del is non-nil it
 	// collects the checks found redundant.
 	transfer := func(b *cil.BBlock, s factSet, del map[*cil.SInstr]bool) {
 		for _, si := range b.Instrs {
-			switch in := si.Ins.(type) {
-			case *cil.Check:
-				id := facts.idOf(in)
-				if s[id] {
-					if del != nil {
-						del[si] = true
-					}
-					continue
+			if chk, ok := si.Ins.(*cil.Check); ok {
+				id := facts.id(chk)
+				if s[id] && del != nil {
+					del[si] = true
 				}
 				s[id] = true
-			case *cil.Set:
-				killLV(s, in.LV)
-			case *cil.Call:
-				killMem(s)
-				killLV(s, in.Result)
-			default:
-				// Unknown instruction kinds forget everything.
-				for id := range s {
+				continue
+			}
+			w := writeOf(si.Ins)
+			for id := range s {
+				if facts.deps[id].killedBy(w) {
 					delete(s, id)
 				}
 			}

@@ -101,9 +101,9 @@ func TestOptimizerStatsGolden(t *testing.T) {
 		sort.Strings(names)
 		for _, name := range names {
 			fo := o.PerFunc[name]
-			fmt.Fprintf(&b, "  %-20s  before %3d  after %3d  elim %2d  coal %2d  hoist %2d  widen %2d  blocks %2d  loops %d\n",
+			fmt.Fprintf(&b, "  %-20s  before %3d  after %3d  elim %2d  coal %2d  hoist %2d  widen %2d  blocks %2d\n",
 				name, fo.Before, fo.After, fo.Eliminated, fo.Coalesced, fo.Hoisted, fo.Widened,
-				fo.Blocks, fo.Loops)
+				fo.Blocks)
 		}
 	}
 	checkGolden(t, "optstats.golden", b.String())

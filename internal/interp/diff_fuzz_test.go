@@ -20,7 +20,9 @@ import (
 // (SAFE and SEQ via arithmetic), structs with physical-subtyping casts,
 // address-of, and loops — including the shapes the check optimizer
 // rewrites (invariant checks, induction-variable bounds checks, adjacent
-// constant offsets) — and demand that four executions agree:
+// constant offsets) and the ones its kill rule must respect (nested loops
+// with early exits, stores through aliases, an if arm that kills a fact)
+// — and demand that four executions agree:
 //
 //	raw          the uninstrumented program (skipped when the program is
 //	             built to trap: a trapping program is UB raw)
@@ -49,6 +51,9 @@ type progGen struct {
 	// oob records that the program contains a deliberate out-of-bounds
 	// access (raw execution is UB and is skipped).
 	oob bool
+	// oobPending: that access is still to be emitted, so no early return
+	// may skip it.
+	oobPending bool
 }
 
 func (g *progGen) next() uint64 {
@@ -127,7 +132,7 @@ func (g *progGen) expr(depth int) string {
 
 func (g *progGen) stmt(depth int) {
 	ind := strings.Repeat("    ", g.depth+1)
-	switch g.pick(16) {
+	switch g.pick(20) {
 	case 14:
 		// Narrowing store: wraps to the scalar's width.
 		fmt.Fprintf(&g.b, "%s%s = %s;\n", ind, g.scalar(), g.expr(depth))
@@ -185,6 +190,43 @@ func (g *progGen) stmt(depth int) {
 		fmt.Fprintf(&g.b, "%sacc += helper(v%d, arr);\n", ind, g.pick(3))
 	case 12:
 		fmt.Fprintf(&g.b, "%sacc += deref(q) + deref(&v%d);\n", ind, g.pick(3))
+	case 16:
+		// Nested loops left by break and continue: the inner loop has two
+		// exits, the outer one a continue and a second break.
+		fmt.Fprintf(&g.b, "%sfor (i = 0; i < 8; i++) { if (arr[i] & %d) continue; "+
+			"for (j = 0; j < 4; j++) { if (j == %d) break; acc += p[0] + tt.data[j] + arr[i]; } "+
+			"if (i == %d) break; }\n", ind, 1+g.pick(3), g.pick(5), g.pick(9))
+	case 17:
+		// Early return from inside a loop whose prefix checks hoist.
+		exit := fmt.Sprintf("return %d;", g.pick(4))
+		if g.oobPending {
+			exit = "break;"
+		}
+		fmt.Fprintf(&g.b, "%sfor (i = 0; i < 8; i++) { acc += *q + arr[i]; "+
+			"if (((acc + i) & 31) == %d) { printf(\"%%d\\n\", acc); %s } }\n",
+			ind, g.pick(32), exit)
+	case 18:
+		// A store through q aliases the loop bound, which the guard
+		// re-reads every iteration.
+		v := g.pick(3)
+		fmt.Fprintf(&g.b, "%sq = &v%d; for (i = 0; i < (v%d & 7); i++) { acc += arr[i] + *q; *q = *q - %d; }\n",
+			ind, v, v, 1+g.pick(2))
+	case 19:
+		// A repeated check separated by an if whose one arm kills its
+		// fact: the check after the join must stay.
+		var kill string
+		switch g.pick(4) {
+		case 0:
+			kill = fmt.Sprintf("p = arr + %d;", g.pick(4))
+		case 1:
+			kill = fmt.Sprintf("q = &v%d;", g.pick(3))
+		case 2:
+			kill = fmt.Sprintf("*q = %s;", g.expr(1))
+		default:
+			kill = fmt.Sprintf("acc += helper(v%d, arr);", g.pick(3))
+		}
+		fmt.Fprintf(&g.b, "%sacc += p[1] + *q; if (%s) { %s } else { acc += 1; } acc += p[1] + *q;\n",
+			ind, g.expr(1), kill)
 	default:
 		// Nested loop writing through a moving SEQ pointer.
 		fmt.Fprintf(&g.b, "%sfor (i = 0; i < 4; i++) { p = arr + i; p[0] = p[0] + v%d; }\n",
@@ -197,7 +239,23 @@ func (g *progGen) stmt(depth int) {
 func (g *progGen) oobStmt() {
 	g.oob = true
 	ind := strings.Repeat("    ", g.depth+1)
-	switch g.pick(4) {
+	switch g.pick(7) {
+	case 4:
+		// A store through an alias moves the index of a repeated access
+		// past the end: the second check must not count as available.
+		v := g.pick(3)
+		fmt.Fprintf(&g.b, "%sq = &v%d; v%d = %d; acc += arr[v%d]; *q = 8; acc += arr[v%d];\n",
+			ind, v, v, g.pick(8), v, v)
+	case 5:
+		// A store through an alias raises the loop bound mid-loop.
+		v := g.pick(3)
+		fmt.Fprintf(&g.b, "%sq = &v%d; v%d = 4; for (i = 0; i < v%d; i++) { acc += arr[i + 4]; if (i == 1) *q = 6; }\n",
+			ind, v, v, v)
+	case 6:
+		// The taken arm of an if re-aims p past the end between two
+		// identical accesses.
+		fmt.Fprintf(&g.b, "%sp = arr + 4; acc += p[3]; if ((%s) | 1) { p = arr + 6; } else { acc += 1; } acc += p[3];\n",
+			ind, g.expr(1))
 	case 0:
 		// Constant index one past the end.
 		fmt.Fprintf(&g.b, "%sacc += arr[8];\n", ind)
@@ -242,7 +300,7 @@ int main(void) {
     struct S *sp;
     int *p = arr;
     int *q = &v0;
-    int i, acc = 0;
+    int i, j, acc = 0;
     char c0 = -7;
     unsigned char uc0 = 250;
     short s0 = -300;
@@ -257,10 +315,12 @@ int main(void) {
 	oobAt := -1
 	if g.pick(5) == 0 { // ~20% of programs exercise a trap path
 		oobAt = g.pick(n)
+		g.oobPending = true
 	}
 	for i := 0; i < n; i++ {
 		if i == oobAt {
 			g.oobStmt()
+			g.oobPending = false
 			continue
 		}
 		g.stmt(2)

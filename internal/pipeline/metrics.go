@@ -112,16 +112,6 @@ type Metrics struct {
 	SLOs []SLOStatus `json:"slos,omitempty"`
 }
 
-// PhaseHistogram returns the named phase histogram (zero if absent).
-func (m Metrics) PhaseHistogram(phase string) Histogram {
-	for _, p := range m.Phases {
-		if p.Phase == phase {
-			return p.Hist
-		}
-	}
-	return Histogram{}
-}
-
 // metrics is the Runner's internal accumulator. One mutex guards the
 // counters and gauges, which accumulate straight into the snapshot type;
 // the histograms carry their own locks (they are also observed from queue

@@ -261,10 +261,8 @@ func (n *Node) MarkIntCastAt(pos diag.Pos) {
 	}
 }
 
-// MarkRtti records that a checked downcast needs RTTI from this pointer.
-func (n *Node) MarkRtti() { n.MarkRttiAt(diag.Pos{}) }
-
-// MarkRttiAt is MarkRtti with the downcast's source location.
+// MarkRttiAt records that a checked downcast at pos needs RTTI from this
+// pointer.
 func (n *Node) MarkRttiAt(pos diag.Pos) {
 	if n != nil {
 		n.seed("rtti-need", pos, "source of a checked downcast")
