@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"gocured"
 	"gocured/internal/infer"
@@ -29,7 +30,9 @@ func CacheKey(filename, source string, opts gocured.Options) Key {
 	// Length-prefix each variable-size component so concatenations cannot
 	// collide; Options is a flat struct of bools with a stable rendering.
 	fmt.Fprintf(h, "%s\x00%d:%s\x00%+v\x00%d:", gocured.Version, len(filename), filename, opts, len(source))
-	h.Write([]byte(source))
+	// Hash the source in place: Write only reads its argument, and a
+	// []byte(source) conversion would copy the whole text per request.
+	h.Write(unsafe.Slice(unsafe.StringData(source), len(source)))
 	var k Key
 	h.Sum(k[:0])
 	return k
@@ -140,7 +143,12 @@ func (c *Cache) SetStore(a *store.Artifacts) { c.arts = a }
 // store, or a from-scratch compile). Compile errors are returned, not
 // cached: the next identical request retries.
 func (c *Cache) GetOrCompile(filename, source string, opts gocured.Options) (*Compiled, Lookup, error) {
-	key := CacheKey(filename, source, opts)
+	return c.getOrCompileKey(CacheKey(filename, source, opts), filename, source, opts)
+}
+
+// getOrCompileKey is GetOrCompile for a caller that already holds the
+// job's CacheKey (the Runner hashes each request's source once).
+func (c *Cache) getOrCompileKey(key Key, filename, source string, opts gocured.Options) (*Compiled, Lookup, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
@@ -228,6 +229,29 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 	if CacheKey("a.c", tinyOK, gocured.Options{}) != base {
 		t.Error("key not deterministic")
+	}
+}
+
+// TestCacheKeyBytesPinned pins the exact key bytes: the key addresses
+// both cache tiers, so a change to how it is computed must not change
+// what it is.
+func TestCacheKeyBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		opts      gocured.Options
+		want      string
+	}{
+		{"a.c", "int main(void) { return 0; }\n", gocured.Options{},
+			"adb01c7d2f933980af0e08f2b6a59d9f44911062f27bf2f091726977704bffbe"},
+		{"bind.c", "/* \u00e9 */\nint f(int *p) { return p[1]; }\n", gocured.Options{NoRTTI: true, NoOptimize: true},
+			"ce7bfc4783a9fdbbbb899d44cb575232668a2faafe0af964b44b240405b6ff41"},
+		{"", "", gocured.Options{ForceSplitAll: true, TrustBadCasts: true, NoPhysicalSubtyping: true},
+			"7886a7d0a1920510cde0a75b014c782198bcc49c780d1438a3312b49850765cd"},
+	} {
+		k := CacheKey(tc.name, tc.src, tc.opts)
+		if got := hex.EncodeToString(k[:]); got != tc.want {
+			t.Errorf("CacheKey(%q, %d-byte source, %+v) = %s, want %s", tc.name, len(tc.src), tc.opts, got, tc.want)
+		}
 	}
 }
 

@@ -88,6 +88,20 @@ type Job struct {
 
 	// Timeout overrides the Runner's JobTimeout when positive.
 	Timeout time.Duration
+
+	// key memoizes CacheKey(Name, Source, Options) once keyed is set: Do
+	// hashes the source once, and both coalesceKey and the cache lookup
+	// read the result.
+	key   Key
+	keyed bool
+}
+
+// cacheKey returns the job's CacheKey, hashing the source on first use.
+func (j *Job) cacheKey() Key {
+	if !j.keyed {
+		j.key, j.keyed = CacheKey(j.Name, j.Source, j.Options), true
+	}
+	return j.key
 }
 
 // JobResult is the outcome of one Job.
@@ -239,6 +253,7 @@ func (r *Runner) Do(ctx context.Context, job Job) *JobResult {
 	if job.TraceID == "" {
 		job.TraceID = trace.NewID()
 	}
+	job.cacheKey()
 	var key string
 	if r.opts.CoalesceJobs {
 		key = coalesceKey(job)
@@ -287,7 +302,7 @@ func (r *Runner) Do(ctx context.Context, job Job) *JobResult {
 // would hand a seed-99 caller the stdout of a seed-0 run. %#v renders
 // every field, so a new RunOptions field joins the key without an edit.
 func coalesceKey(job Job) string {
-	k := CacheKey(job.Name, job.Source, job.Options)
+	k := job.cacheKey()
 	if !job.Run {
 		return fmt.Sprintf("%x|compile", k[:])
 	}
@@ -538,8 +553,8 @@ func appendCompileSpans(out []trace.Span, cs, cd float64, tier string, fresh *Co
 
 func (r *Runner) compile(job Job) (*Compiled, Lookup, error) {
 	if r.cache != nil {
-		return r.cache.GetOrCompile(job.Name, job.Source, job.Options)
+		return r.cache.getOrCompileKey(job.cacheKey(), job.Name, job.Source, job.Options)
 	}
-	compiled, err := compileSource(CacheKey(job.Name, job.Source, job.Options), job.Name, job.Source, job.Options, r.opts.Store, nil)
+	compiled, err := compileSource(job.cacheKey(), job.Name, job.Source, job.Options, r.opts.Store, nil)
 	return compiled, lookupFor(compiled), err
 }
