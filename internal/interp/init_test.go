@@ -58,3 +58,24 @@ func BenchmarkMachineInit(b *testing.B) {
 		machineSink = interp.New(cfg.Cured.Prog, cfg)
 	}
 }
+
+// runAllocBound is the allocation count of one cured olden-treeadd run
+// when every VM register was a pooled []Value slot.
+const runAllocBound = 39099
+
+// One cured corpus run allocates no more than it did with pooled []Value
+// register files: the register banks are pooled with their frames, so a
+// deep call chain reuses them instead of allocating per call.
+func TestRunAllocationBound(t *testing.T) {
+	cfg := initConfig(t, "olden-treeadd")
+	allocs := testing.AllocsPerRun(5, func() {
+		out, err := interp.New(cfg.Cured.Prog, cfg).Run()
+		if err != nil || out.Trap != nil {
+			t.Fatalf("run: %v %v", err, out.Trap)
+		}
+	})
+	if allocs > runAllocBound {
+		t.Fatalf("one cured olden-treeadd run allocated %.0f times, want at most %d", allocs, runAllocBound)
+	}
+	t.Logf("%.0f allocations per run (bound %d)", allocs, runAllocBound)
+}
