@@ -81,21 +81,10 @@ func (m *Machine) stackEscapeVerify(v Value, dst uint32) {
 func (m *Machine) checkVerdict(c *cil.Check, v Value) {
 	switch c.Kind {
 	case cil.CheckNull:
-		if v.P == 0 {
-			m.trapf("null", "null pointer dereference")
-		}
+		m.nullVerdict(v.P)
 
 	case cil.CheckSeq:
-		if v.P == 0 {
-			m.trapf("null", "null SEQ pointer dereference")
-		}
-		if v.B == 0 {
-			m.trapf("int-deref", "dereference of an integer disguised as a pointer")
-		}
-		if v.P < v.B || v.P+uint32(c.Size) > v.E {
-			m.trapf("bounds", "SEQ access out of bounds: p=0x%x not in [0x%x, 0x%x-%d]",
-				v.P, v.B, v.E, c.Size)
-		}
+		m.seqVerdict(c, v.P, v.B, v.E)
 
 	case cil.CheckSeqToSafe:
 		if v.P == 0 {
@@ -196,6 +185,27 @@ func (m *Machine) checkVerdict(c *cil.Check, v Value) {
 
 	default:
 		m.trapf("internal", "unknown check kind %s", c.Kind)
+	}
+}
+
+// nullVerdict decides CheckNull on pointer p.
+func (m *Machine) nullVerdict(p uint32) {
+	if p == 0 {
+		m.trapf("null", "null pointer dereference")
+	}
+}
+
+// seqVerdict decides CheckSeq on a pointer's address p and bounds [b, e).
+func (m *Machine) seqVerdict(c *cil.Check, p, b, e uint32) {
+	if p == 0 {
+		m.trapf("null", "null SEQ pointer dereference")
+	}
+	if b == 0 {
+		m.trapf("int-deref", "dereference of an integer disguised as a pointer")
+	}
+	if p < b || p+uint32(c.Size) > e {
+		m.trapf("bounds", "SEQ access out of bounds: p=0x%x not in [0x%x, 0x%x-%d]",
+			p, b, e, c.Size)
 	}
 }
 

@@ -250,6 +250,9 @@ type Machine struct {
 	// across calls; deep call chains would otherwise allocate one frame
 	// per call.
 	framePool []*frame
+	// argStack holds the argument Values of the builtin and indirect calls
+	// in progress (vmArgs), so a call builds no per-call slice.
+	argStack []Value
 
 	shadowMeta   map[uint32]metaEntry
 	policyShadow *shadowMem
@@ -295,7 +298,7 @@ type frame struct {
 	fn   *cil.Func
 	base uint32
 	lay  *funcLayout
-	regs []Value
+	regs banks
 }
 
 func (f *frame) slot(v *cil.Var, m *Machine) uint32 {
@@ -317,22 +320,14 @@ func (m *Machine) getFrame(fn *cil.Func, base uint32, lay *funcLayout, nregs int
 		fr = &frame{}
 	}
 	fr.fn, fr.base, fr.lay = fn, base, lay
-	if nregs > 0 {
-		if cap(fr.regs) < nregs {
-			fr.regs = make([]Value, nregs)
-		} else {
-			fr.regs = fr.regs[:nregs]
-		}
-	} else {
-		fr.regs = fr.regs[:0]
-	}
+	fr.regs.resize(nregs)
 	return fr
 }
 
-// putFrame returns an activation record to the pool. Registers may hold
-// pointers into the RTTI hierarchy; clearing them is unnecessary (the
-// next call overwrites written registers before reading them) and the
-// hierarchy is program-lifetime anyway.
+// putFrame returns an activation record to the pool. The metadata bank
+// may hold pointers into the RTTI hierarchy; clearing it is unnecessary
+// (the next call overwrites written registers before reading them) and
+// the hierarchy is program-lifetime anyway.
 func (m *Machine) putFrame(fr *frame) {
 	fr.fn, fr.lay = nil, nil
 	m.framePool = append(m.framePool, fr)
