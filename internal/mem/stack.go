@@ -35,7 +35,18 @@ func (m *Memory) PushFrame(size uint32, name string) (*Block, error) {
 	}
 	// Zero the frame (locals read as 0 until initialized; see DESIGN.md).
 	clear(m.arena[addr : addr+size])
-	b := &Block{ID: m.nextID, Addr: addr, Size: size, Region: RegStack, Name: name}
+	// Reuse the record of the frame last popped at this depth: nothing
+	// holds a popped frame (BlockAt finds only live ones), and a call per
+	// record would make frame records most of a run's allocations.
+	n := len(m.stack)
+	var b *Block
+	if n < cap(m.stack) {
+		b = m.stack[:n+1][n]
+	}
+	if b == nil {
+		b = new(Block)
+	}
+	*b = Block{ID: m.nextID, Addr: addr, Size: size, Region: RegStack, Name: name}
 	m.nextID++
 	m.stack = append(m.stack, b)
 	m.sp = addr + size
