@@ -71,3 +71,22 @@ func TestCompilePanicsNamingFunction(t *testing.T) {
 	vm.Compile(prog, instrument.RawLayout{})
 	t.Fatal("Compile lowered a function that reads a slotless local")
 }
+
+// TestOpNames checks that the name table covers every opcode once, so
+// dumps and the opcode-coverage test name each opcode correctly.
+func TestOpNames(t *testing.T) {
+	seen := map[string]vm.Op{}
+	for op := vm.OpNop; op < vm.NumOps; op++ {
+		name := op.String()
+		if name == "op?" || name == "" {
+			t.Errorf("opcode %d has no name", op)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("opcodes %d and %d share the name %q", prev, op, name)
+		}
+		seen[name] = op
+	}
+	if got := vm.NumOps.String(); got != "op?" {
+		t.Errorf("NumOps is named %q: the table has more names than opcodes", got)
+	}
+}
