@@ -15,13 +15,7 @@
 //     drop counter;
 //   - every request carries a freshly minted W3C traceparent header, and
 //     the response's Traceparent echo must return the same trace-id — a
-//     mismatch anywhere in the run is a gate violation;
-//   - with -burn-gate it reads the server's SLO burn-rate states: no SLO
-//     may page after the in-capacity sweep, and (with -overload) the shed
-//     burst must trip the burn alert and clear again within
-//     -burn-recovery-wait once load stops;
-//   - with -history-out it archives the server's /metrics/history time
-//     series as a JSON artifact.
+//     mismatch anywhere in the run is a gate violation.
 //
 // With -gate the process exits non-zero if the p99 SLO is violated at the
 // gated level, the trace check fails, any request errored, or any
@@ -51,18 +45,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
 
 	"gocured/internal/loadgen"
-)
-
-// SLO burn states as reported by the server's burn-rate engine.
-const (
-	okState   = "ok"
-	warnState = "warn"
-	pageState = "page"
 )
 
 type sloReport struct {
@@ -87,20 +76,17 @@ type overloadReport struct {
 	Pass          bool    `json:"pass"`
 }
 
-// burnReport records the SLO burn-rate observations of a gated run:
-// steady-state states after the in-capacity sweep, the worst availability
-// state observed while the overload scenario ran, and the states after
-// the post-overload recovery wait.
-type burnReport struct {
-	Steady        []loadgen.SLOState `json:"steady,omitempty"`
-	OverloadWorst string             `json:"overload_worst,omitempty"`
-	Recovered     []loadgen.SLOState `json:"recovered,omitempty"`
-	Pass          bool               `json:"pass"`
-}
-
 type report struct {
-	GeneratedBy string         `json:"generated_by"`
-	Generated   string         `json:"generated"`
+	GeneratedBy string `json:"generated_by"`
+	Generated   string `json:"generated"`
+	// GitRevision, NProc, CPUModel and GoVersion record where the report
+	// came from: the ccload build's VCS revision ("-dirty" when built from
+	// a modified tree, empty when not stamped), the client machine's CPU
+	// count and model (empty off Linux), and the Go toolchain.
+	GitRevision string         `json:"git_revision"`
+	NProc       int            `json:"nproc"`
+	CPUModel    string         `json:"cpu_model"`
+	GoVersion   string         `json:"go_version"`
 	BaseURL     string         `json:"base_url"`
 	DurationS   float64        `json:"duration_s_per_level"`
 	Mix         map[string]int `json:"mix"`
@@ -124,9 +110,8 @@ type report struct {
 	TraceparentSent         int `json:"traceparent_sent"`
 	TraceparentEchoMismatch int `json:"traceparent_echo_mismatch"`
 
-	SLO        *sloReport  `json:"slo,omitempty"`
-	Burn       *burnReport `json:"burn,omitempty"`
-	Violations []string    `json:"violations,omitempty"`
+	SLO        *sloReport `json:"slo,omitempty"`
+	Violations []string   `json:"violations,omitempty"`
 }
 
 func parseLevels(s string) ([]int, error) {
@@ -188,9 +173,6 @@ func main() {
 		sloP99    = flag.Duration("slo-p99", 0, "p99 latency SLO at the gated level (0 = no SLO)")
 		sloLevel  = flag.Int("slo-level", 0, "concurrency level the SLO applies to (0 = lowest swept level)")
 		gate      = flag.Bool("gate", false, "exit non-zero on SLO violation, trace-check failure, errors, or seq gaps")
-		burnGate  = flag.Bool("burn-gate", false, "gate on server-side SLO burn states: no page in steady state; with -overload, availability must burn to warn/page and recover to ok")
-		burnWait  = flag.Duration("burn-recovery-wait", 30*time.Second, "how long after the overload run to wait for SLO states to return to ok")
-		histOut   = flag.String("history-out", "", "write the server's full /metrics/history dump to this file after the run")
 	)
 	flag.Parse()
 
@@ -214,6 +196,10 @@ func main() {
 	rep := report{
 		GeneratedBy: "ccload",
 		Generated:   time.Now().UTC().Format(time.RFC3339),
+		GitRevision: gitRevision(),
+		NProc:       runtime.NumCPU(),
+		CPUModel:    cpuModel(),
+		GoVersion:   runtime.Version(),
 		BaseURL:     *url,
 		DurationS:   duration.Seconds(),
 		Mix:         mix,
@@ -283,33 +269,6 @@ func main() {
 			*rate, res.P50MS, res.P99MS, res.P999MS, res.Errors)
 		rep.OpenLoop = &res
 		checkRun(res)
-	}
-
-	// Steady-state burn check: the in-capacity sweep must not leave any SLO
-	// in page state. Warn is tolerated (short CI windows are noisy); a page
-	// here means the server is burning error budget under nominal load.
-	var burn *burnReport
-	if *burnGate {
-		burn = &burnReport{Pass: true}
-		rep.Burn = burn
-		states, err := loadgen.FetchSLOStates(ctx, nil, *url)
-		switch {
-		case err != nil:
-			burn.Pass = false
-			rep.Violations = append(rep.Violations, "burn: "+err.Error())
-		case len(states) == 0:
-			burn.Pass = false
-			rep.Violations = append(rep.Violations, "burn: -burn-gate set but server reports no SLOs (history disabled?)")
-		default:
-			burn.Steady = states
-			for _, s := range states {
-				if s.State == pageState {
-					burn.Pass = false
-					rep.Violations = append(rep.Violations,
-						fmt.Sprintf("burn: SLO %q in page state after steady-state sweep (burn %.1f)", s.Name, s.MaxBurn))
-				}
-			}
-		}
 	}
 
 	// Stop the event-stream gate before the overload run: the bus drops
@@ -389,25 +348,6 @@ func main() {
 				fail("admitted p99 %.2fms > SLO %.2fms", res.P99MS, og.SLOP99MS)
 			}
 			rep.OverloadGate = og
-
-			// Burn-rate gate: the shed burst must trip the burn alert
-			// (the fast windows still cover it for several seconds after
-			// the run ends), and the alert must clear once load stops.
-			if burn != nil {
-				worst := observeBurn(ctx, *url, 10*time.Second)
-				burn.OverloadWorst = worst
-				if worst != warnState && worst != pageState {
-					burn.Pass = false
-					rep.Violations = append(rep.Violations,
-						fmt.Sprintf("burn: overload did not trip the burn alert (worst state %q, want warn or page)", worst))
-				}
-				rec, err := loadgen.WaitSLOState(ctx, nil, *url, map[string]bool{okState: true}, *burnWait)
-				burn.Recovered = rec
-				if err != nil {
-					burn.Pass = false
-					rep.Violations = append(rep.Violations, "burn: recovery: "+err.Error())
-				}
-			}
 		}
 	}
 
@@ -496,18 +436,6 @@ func main() {
 			fmt.Sprintf("traceparent: %d of %d responses echoed a different trace-id", rep.TraceparentEchoMismatch, rep.TraceparentSent))
 	}
 
-	if *histOut != "" {
-		if dump, err := loadgen.FetchHistory(ctx, nil, *url, 0); err != nil {
-			rep.Violations = append(rep.Violations, "history: "+err.Error())
-		} else if data, err := json.MarshalIndent(dump, "", "  "); err != nil {
-			rep.Violations = append(rep.Violations, "history: "+err.Error())
-		} else if err := os.WriteFile(*histOut, append(data, '\n'), 0o644); err != nil {
-			rep.Violations = append(rep.Violations, "history: "+err.Error())
-		} else {
-			fmt.Fprintf(os.Stderr, "ccload: history dump written to %s (%d points)\n", *histOut, len(dump.Points))
-		}
-	}
-
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -534,31 +462,43 @@ func main() {
 	}
 }
 
-// observeBurn polls the server's SLO states and returns the worst state
-// seen, returning early once a warn or page is observed. Called right
-// after the overload run, while the burn windows still cover the burst.
-func observeBurn(ctx context.Context, baseURL string, timeout time.Duration) string {
-	rank := map[string]int{okState: 0, warnState: 1, pageState: 2}
-	worst := ""
-	deadline := time.Now().Add(timeout)
-	for {
-		states, err := loadgen.FetchSLOStates(ctx, nil, baseURL)
-		if err == nil {
-			for _, s := range states {
-				if worst == "" || rank[s.State] > rank[worst] {
-					worst = s.State
-				}
-			}
-		}
-		if (worst != "" && rank[worst] >= rank[warnState]) || time.Now().After(deadline) {
-			return worst
-		}
-		select {
-		case <-ctx.Done():
-			return worst
-		case <-time.After(250 * time.Millisecond):
+// gitRevision returns the VCS revision stamped into this binary, with a
+// "-dirty" suffix when the tree had uncommitted changes. `go run` and
+// builds outside a repository stamp none, so it is empty there.
+func gitRevision() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev string
+	var dirty bool
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
 		}
 	}
+	if rev != "" && dirty {
+		rev += "-dirty"
+	}
+	return rev
+}
+
+// cpuModel returns the first "model name" line of /proc/cpuinfo, or ""
+// where there is none (off Linux, or on CPUs that do not report one).
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func fatal(err error) {

@@ -165,10 +165,6 @@ type serverConfig struct {
 	// client ID (empty = DefaultClientHeader). Requests without it are
 	// attributed to their remote address.
 	ClientHeader string
-	// History, when set, enables GET /metrics/history and /debug/dash and
-	// annotates metrics snapshots with SLO burn-rate statuses. The caller
-	// owns its sampling loop (History.Run).
-	History *pipeline.History
 }
 
 // DefaultClientHeader is the request header consulted for the fair-queue
@@ -192,9 +188,6 @@ type server struct {
 	storeConfigured bool
 	// clientHeader names the header carrying the fair-queue client ID.
 	clientHeader string
-	// history is the metrics time series behind /metrics/history and
-	// /debug/dash (nil when not configured).
-	history *pipeline.History
 }
 
 func newServer(runner *pipeline.Runner, cfg serverConfig) *server {
@@ -210,13 +203,11 @@ func newServer(runner *pipeline.Runner, cfg serverConfig) *server {
 		cfg.ClientHeader = DefaultClientHeader
 	}
 	s := &server{runner: runner, maxBytes: cfg.MaxBytes, logger: cfg.Logger, mux: http.NewServeMux(),
-		storeConfigured: cfg.StoreConfigured, clientHeader: cfg.ClientHeader, history: cfg.History}
+		storeConfigured: cfg.StoreConfigured, clientHeader: cfg.ClientHeader}
 	s.mux.HandleFunc("/cure", s.handleCure)
 	s.mux.HandleFunc("/events", s.handleEvents)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics/prometheus", s.handlePrometheus)
-	s.mux.HandleFunc("/metrics/history", s.handleMetricsHistory)
-	s.mux.HandleFunc("/debug/dash", s.handleDash)
 	s.mux.HandleFunc("/traces", s.handleTracesList)
 	s.mux.HandleFunc("/traces/", s.handleTraceGet)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -574,39 +565,8 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metricsSnapshot is the Runner snapshot annotated with the burn-rate
-// engine's current SLO statuses (when a History is configured): the SLO
-// view rides along in every JSON and Prometheus exposition.
-func (s *server) metricsSnapshot() pipeline.Metrics {
-	m := s.runner.Metrics()
-	if s.history != nil {
-		m.SLOs = s.history.Statuses()
-	}
-	return m
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
-}
-
-// handleMetricsHistory serves the retained metrics time series as JSON:
-// per-interval deltas, a window summary with exemplars, and the SLO
-// statuses. ?window=5m bounds the look-back (default: full retention).
-func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		writeError(w, http.StatusNotFound, "metrics history is disabled")
-		return
-	}
-	var window time.Duration
-	if q := r.URL.Query().Get("window"); q != "" {
-		d, err := time.ParseDuration(q)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "bad window %q: want a Go duration like 5m", q)
-			return
-		}
-		window = d
-	}
-	writeJSON(w, http.StatusOK, s.history.Dump(window))
+	writeJSON(w, http.StatusOK, s.runner.Metrics())
 }
 
 // handlePrometheus serves the pipeline metrics in the Prometheus text
@@ -617,11 +577,11 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 func (s *server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		pipeline.WriteOpenMetrics(w, s.metricsSnapshot())
+		pipeline.WriteOpenMetrics(w, s.runner.Metrics())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	pipeline.WritePrometheus(w, s.metricsSnapshot())
+	pipeline.WritePrometheus(w, s.runner.Metrics())
 }
 
 // handleHealthz is the liveness probe: the process is up and serving.
@@ -778,31 +738,6 @@ func (s *server) handleCorpusGet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseSLOWindows parses the -slo-windows flag: empty means the 5m/1h and
-// 30m/6h defaults; otherwise exactly four comma-separated Go durations in
-// fast-short,fast-long,slow-short,slow-long order.
-func parseSLOWindows(s string) (pipeline.SLOWindows, error) {
-	if s == "" {
-		return pipeline.DefaultSLOWindows(), nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return pipeline.SLOWindows{}, fmt.Errorf("want 4 comma-separated durations, got %d", len(parts))
-	}
-	var ds [4]time.Duration
-	for i, p := range parts {
-		d, err := time.ParseDuration(strings.TrimSpace(p))
-		if err != nil {
-			return pipeline.SLOWindows{}, err
-		}
-		if d <= 0 {
-			return pipeline.SLOWindows{}, fmt.Errorf("window %q must be positive", p)
-		}
-		ds[i] = d
-	}
-	return pipeline.SLOWindows{FastShort: ds[0], FastLong: ds[1], SlowShort: ds[2], SlowLong: ds[3]}, nil
-}
-
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("j", runtime.NumCPU(), "concurrent curing/execution jobs")
@@ -815,17 +750,7 @@ func main() {
 	traceBuffer := flag.Int("trace-buffer", trace.DefaultBufferEntries, "request traces kept for GET /traces/{id} (negative disables)")
 	queueDepth := flag.Int("queue-depth", 256, "admission queue bound; excess load is shed with 429 (0 = unbounded)")
 	clientHeader := flag.String("client-header", DefaultClientHeader, "request header carrying the fair-queue client ID")
-	histInterval := flag.Duration("history-interval", 10*time.Second, "metrics history sampling interval (0 disables history, SLOs, and /debug/dash)")
-	histRetention := flag.Duration("history-retention", time.Hour, "metrics history retention window")
-	sloObjective := flag.Float64("slo-objective", 0.99, "good fraction promised by the availability and latency SLOs")
-	sloP99 := flag.Duration("slo-p99", time.Second, "latency SLO target: requests should finish within this bound (0 disables the latency SLO)")
-	sloWindows := flag.String("slo-windows", "", "burn-rate windows, four comma-separated durations fast-short,fast-long,slow-short,slow-long (default 5m,1h,30m,6h)")
 	flag.Parse()
-
-	windows, err := parseSLOWindows(*sloWindows)
-	if err != nil {
-		log.Fatalf("ccserve: -slo-windows: %v", err)
-	}
 
 	arts, err := pipeline.OpenStore(*storeDir)
 	if err != nil {
@@ -843,27 +768,9 @@ func main() {
 	})
 	expvar.Publish("gocured_pipeline", runner.ExpvarVar())
 
-	var history *pipeline.History
-	if *histInterval > 0 {
-		specs := []pipeline.SLOSpec{{Name: "availability", Objective: *sloObjective}}
-		if *sloP99 > 0 {
-			specs = append(specs, pipeline.SLOSpec{Name: "latency", Objective: *sloObjective,
-				LatencyTargetMS: float64(*sloP99) / float64(time.Millisecond)})
-		}
-		history = pipeline.NewHistory(pipeline.HistoryOptions{
-			Source:    runner.Metrics,
-			Interval:  *histInterval,
-			Retention: *histRetention,
-			SLOs:      specs,
-			Windows:   windows,
-			Bus:       runner.Events(),
-		})
-	}
-
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	app := newServer(runner, serverConfig{MaxBytes: *maxBytes, Logger: logger,
-		Pprof: *pprofFlag, StoreConfigured: *storeDir != "", ClientHeader: *clientHeader,
-		History: history})
+		Pprof: *pprofFlag, StoreConfigured: *storeDir != "", ClientHeader: *clientHeader})
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           app,
@@ -872,10 +779,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if history != nil {
-		go history.Run(ctx)
-	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

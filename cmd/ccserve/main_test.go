@@ -662,7 +662,7 @@ func TestCureTraceparentPropagation(t *testing.T) {
 		if mresp.TraceID == tid || !trace.ValidID(mresp.TraceID) {
 			t.Fatalf("malformed traceparent %q adopted as %q", bad, mresp.TraceID)
 		}
-		m := s.metricsSnapshot()
+		m := s.runner.Metrics()
 		if m.TraceparentMalformed != uint64(i+1) {
 			t.Fatalf("traceparent_malformed = %d after %d bad headers", m.TraceparentMalformed, i+1)
 		}
@@ -676,104 +676,6 @@ func TestCureTraceparentPropagation(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Trace-Id") != "00000000feedface" {
 		t.Errorf("explicit X-Trace-Id lost to traceparent: status=%d id=%q", rec.Code, rec.Header().Get("X-Trace-Id"))
-	}
-}
-
-// historyServer builds a server with a metrics History attached (not
-// started — tests drive Tick explicitly).
-func historyServer() (*server, *pipeline.History) {
-	runner := pipeline.NewRunner(pipeline.RunnerOptions{Workers: 2})
-	hist := pipeline.NewHistory(pipeline.HistoryOptions{
-		Source:   runner.Metrics,
-		Interval: 100 * time.Millisecond,
-		SLOs:     pipeline.DefaultSLOs(1000),
-		Bus:      runner.Events(),
-	})
-	s := newServer(runner, serverConfig{MaxBytes: 1 << 20, History: hist})
-	s.markReady()
-	return s, hist
-}
-
-func TestMetricsHistoryEndpoint(t *testing.T) {
-	s, hist := historyServer()
-	if rec, _ := post(t, s, `{"source":"int main(void){return 0;}"}`); rec.Code != http.StatusOK {
-		t.Fatalf("cure status = %d", rec.Code)
-	}
-	now := time.Now()
-	hist.Tick(now.Add(-time.Second))
-	hist.Tick(now)
-
-	req := httptest.NewRequest(http.MethodGet, "/metrics/history?window=5m", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-	var dump pipeline.HistoryDump
-	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
-		t.Fatal(err)
-	}
-	if len(dump.Points) != 2 || dump.WindowMS != 300000 {
-		t.Fatalf("dump = %d points window %d", len(dump.Points), dump.WindowMS)
-	}
-	if len(dump.SLOs) != 2 {
-		t.Fatalf("dump SLOs = %+v, want availability+latency", dump.SLOs)
-	}
-
-	// The /metrics JSON snapshot carries the same SLO statuses.
-	mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	mrec := httptest.NewRecorder()
-	s.ServeHTTP(mrec, mreq)
-	var m pipeline.Metrics
-	if err := json.Unmarshal(mrec.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.SLOs) != 2 || m.SnapshotUnixMS == 0 {
-		t.Fatalf("metrics SLOs = %d snapshot_unix_ms = %d", len(m.SLOs), m.SnapshotUnixMS)
-	}
-
-	// Bad window values are a 400.
-	req = httptest.NewRequest(http.MethodGet, "/metrics/history?window=banana", nil)
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad window status = %d, want 400", rec.Code)
-	}
-
-	// Without a configured history the endpoint is a 404.
-	plain := testServer()
-	req = httptest.NewRequest(http.MethodGet, "/metrics/history", nil)
-	rec = httptest.NewRecorder()
-	plain.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("disabled history status = %d, want 404", rec.Code)
-	}
-}
-
-func TestDebugDash(t *testing.T) {
-	s, _ := historyServer()
-	req := httptest.NewRequest(http.MethodGet, "/debug/dash", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{`<svg class="spark"`, "/metrics/history", "EventSource"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("dashboard HTML missing %q", want)
-		}
-	}
-
-	// Without a history there is nothing to chart: 404.
-	plain := testServer()
-	rec = httptest.NewRecorder()
-	plain.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/dash", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("disabled dash status = %d, want 404", rec.Code)
 	}
 }
 

@@ -154,107 +154,6 @@ func CheckTrace(ctx context.Context, client *http.Client, baseURL, traceID strin
 	return tc
 }
 
-// FetchHistory grabs the server's /metrics/history dump (window 0 = full
-// retention), used post-run to archive the time series as a CI artifact
-// and to read SLO burn states.
-func FetchHistory(ctx context.Context, client *http.Client, baseURL string, window time.Duration) (*pipeline.HistoryDump, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	url := baseURL + "/metrics/history"
-	if window > 0 {
-		url += "?window=" + window.String()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 50<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics/history: status %d: %.200s", resp.StatusCode, data)
-	}
-	var d pipeline.HistoryDump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("decode /metrics/history: %w", err)
-	}
-	return &d, nil
-}
-
-// SLOState summarizes one objective's alert state as read from the server.
-type SLOState struct {
-	Name    string  `json:"name"`
-	State   string  `json:"state"`
-	MaxBurn float64 `json:"max_burn"`
-}
-
-// FetchSLOStates reads the current SLO statuses from /metrics (the
-// snapshot carries the burn-rate engine's latest evaluation).
-func FetchSLOStates(ctx context.Context, client *http.Client, baseURL string) ([]SLOState, error) {
-	m, err := FetchMetrics(ctx, client, baseURL)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SLOState, 0, len(m.SLOs))
-	for _, s := range m.SLOs {
-		out = append(out, SLOState{Name: s.Name, State: s.State, MaxBurn: s.MaxBurn()})
-	}
-	return out, nil
-}
-
-// WaitSLOState polls the server until every SLO reports one of the wanted
-// states (e.g. just "ok") or the timeout lapses; it returns the final
-// statuses either way, with an error on timeout. Load harnesses use it to
-// assert burn alerts fire under overload and clear after recovery.
-func WaitSLOState(ctx context.Context, client *http.Client, baseURL string, want map[string]bool, timeout time.Duration) ([]SLOState, error) {
-	deadline := time.Now().Add(timeout)
-	var last []SLOState
-	var lastErr error
-	for {
-		states, err := FetchSLOStates(ctx, client, baseURL)
-		lastErr = err
-		if err == nil {
-			last = states
-			all := len(states) > 0
-			for _, s := range states {
-				if !want[s.State] {
-					all = false
-				}
-			}
-			if all {
-				return states, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			if lastErr != nil {
-				return last, fmt.Errorf("loadgen: SLO state wait: %w", lastErr)
-			}
-			return last, fmt.Errorf("loadgen: SLO states did not reach %v within %v (last: %+v)", keys(want), timeout, last)
-		}
-		select {
-		case <-ctx.Done():
-			return last, ctx.Err()
-		case <-time.After(250 * time.Millisecond):
-		}
-	}
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FetchMetrics grabs the server's /metrics JSON snapshot, used post-run to
 // gate on dropped traces and to report server-side queue behaviour.
 func FetchMetrics(ctx context.Context, client *http.Client, baseURL string) (*pipeline.Metrics, error) {

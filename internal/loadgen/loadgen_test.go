@@ -320,64 +320,6 @@ func TestWatchEventsCountsSeqGaps(t *testing.T) {
 	}
 }
 
-func TestFetchHistory(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("window") != "5m0s" {
-			http.Error(w, "want window=5m0s", http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(pipeline.HistoryDump{
-			IntervalMS: 10000,
-			Points:     []pipeline.HistoryPoint{{UnixMS: 1}, {UnixMS: 2}},
-		})
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	d, err := FetchHistory(context.Background(), nil, srv.URL, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.IntervalMS != 10000 || len(d.Points) != 2 {
-		t.Fatalf("unexpected dump: %+v", d)
-	}
-}
-
-func TestWaitSLOState(t *testing.T) {
-	var polls atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		state := "page"
-		if polls.Add(1) >= 3 {
-			state = "ok"
-		}
-		json.NewEncoder(w).Encode(pipeline.Metrics{
-			SLOs: []pipeline.SLOStatus{{
-				SLOSpec: pipeline.SLOSpec{Name: "availability"},
-				State:   state,
-			}},
-		})
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	states, err := WaitSLOState(context.Background(), nil, srv.URL, map[string]bool{"ok": true}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 || states[0].State != "ok" {
-		t.Fatalf("final states: %+v", states)
-	}
-
-	// A state the server never reaches times out with the last states
-	// attached.
-	_, err = WaitSLOState(context.Background(), nil, srv.URL, map[string]bool{"warn": true}, 400*time.Millisecond)
-	if err == nil {
-		t.Fatal("WaitSLOState succeeded for an unreachable state")
-	}
-}
-
 func TestFetchMetrics(t *testing.T) {
 	srv, _ := stubServer(t)
 	m, err := FetchMetrics(context.Background(), nil, srv.URL)

@@ -14,7 +14,7 @@ type JobEvent struct {
 	// consumer that it fell behind and events were dropped.
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
-	// Type is "job_start", "job_done", "trap", or "slo_state".
+	// Type is "job_start", "job_done", or "trap".
 	Type string `json:"type"`
 	Name string `json:"name"`
 	Mode string `json:"mode,omitempty"`
@@ -27,11 +27,6 @@ type JobEvent struct {
 	// TrapKind/TrapPos are set on trap events.
 	TrapKind string `json:"trap_kind,omitempty"`
 	TrapPos  string `json:"trap_pos,omitempty"`
-	// State/Burn are set on slo_state events: Name carries the SLO name,
-	// State the new alert state ("ok", "warn", "page"), Burn the highest
-	// window burn rate at the transition.
-	State string  `json:"state,omitempty"`
-	Burn  float64 `json:"burn,omitempty"`
 }
 
 // Bus fans JobEvents out to subscribers. Publish never blocks: a subscriber

@@ -59,8 +59,8 @@ func indentJSON(t *testing.T, v any) []byte {
 // goldenSnapshot is a hand-built snapshot in which every family and label
 // path of the three expositions appears: build info, every counter and
 // gauge, shed reasons with an exemplar, trap kinds, client depths, a
-// non-nil store and trace buffer, populated histograms with exemplars,
-// two phases and SLOs in every alert state.
+// non-nil store and trace buffer, populated histograms with exemplars
+// and two phases.
 func goldenSnapshot() Metrics {
 	lo, mid, hi := logBoundsMS[8], logBoundsMS[40], logBoundsMS[60]
 	hist := func(n uint64, trace string) Histogram {
@@ -73,9 +73,6 @@ func goldenSnapshot() Metrics {
 				{Count: 1, Exemplar: &Exemplar{TraceID: trace + "3", ValueMS: 1e5}},
 			},
 		}
-	}
-	window := func(ms int64, burn float64, eligible bool) WindowBurn {
-		return WindowBurn{WindowMS: ms, SpanMS: ms / 2, Good: 90, Total: 100, Burn: burn, Eligible: eligible}
 	}
 	return Metrics{
 		Build:          BuildInfo{Version: "v-golden", GoVersion: "go-golden", Optimizer: "on"},
@@ -121,15 +118,6 @@ func goldenSnapshot() Metrics {
 		Phases: []PhaseHist{
 			{Phase: "infer", Hist: hist(2, "inf000000000000")},
 			{Phase: "parse", Hist: Histogram{Count: 1, SumMS: 2, MaxMS: 2, Buckets: []HistBucket{{LeMS: hi, Count: 1}}}},
-		},
-
-		SLOs: []SLOStatus{
-			{SLOSpec: SLOSpec{Name: "availability", Objective: 0.99}, State: SLOStateOK,
-				Windows: []WindowBurn{window(300000, 0.5, true), window(3600000, 0.25, false)}},
-			{SLOSpec: SLOSpec{Name: "latency", Objective: 0.99, LatencyTargetMS: 1000}, State: SLOStateWarn,
-				Windows: []WindowBurn{window(300000, 7.5, true)}},
-			{SLOSpec: SLOSpec{Name: "errors", Objective: 0.999}, State: SLOStatePage,
-				Windows: []WindowBurn{window(1800000, 20, true)}},
 		},
 	}
 }

@@ -35,7 +35,7 @@ type Metrics struct {
 	// SnapshotUnixMS is the wall-clock time this snapshot was taken and
 	// UptimeMS the process runner's age at that moment, so an external
 	// scraper can compute rates from two snapshots without guessing at
-	// scrape timing, and the time-series history can be replayed offline.
+	// scrape timing.
 	SnapshotUnixMS int64 `json:"snapshot_unix_ms"`
 	UptimeMS       int64 `json:"uptime_ms"`
 
@@ -104,12 +104,6 @@ type Metrics struct {
 	// lower, infer, instrument, optimize, frontend-raw, store-read,
 	// store-write), sorted by phase name.
 	Phases []PhaseHist `json:"phases,omitempty"`
-
-	// SLOs carries the burn-rate engine's current evaluation of each
-	// configured objective. It is annotated onto the snapshot by the
-	// History that owns SLO evaluation (ccserve does this in its handlers);
-	// a bare Runner.Metrics() call leaves it nil.
-	SLOs []SLOStatus `json:"slos,omitempty"`
 }
 
 // metrics is the Runner's internal accumulator. One mutex guards the

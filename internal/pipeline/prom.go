@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"gocured/internal/store"
 )
@@ -143,29 +142,6 @@ func writeExposition(w io.Writer, m Metrics, om bool) {
 		sort.Strings(ids)
 		for _, id := range ids {
 			fmt.Fprintf(&f.buf, "%s{client=%q} %d\n", name, id, m.ClientQueueDepths[id])
-		}
-	}
-
-	// SLO burn-rate gauges (present only when a History annotated the
-	// snapshot): one sample per objective per window, labelled with the
-	// window's nominal duration, plus a numeric alert-state gauge
-	// (0 ok, 1 warn, 2 page) for alerting rules that want a single series.
-	if len(m.SLOs) > 0 {
-		bf := gaugeFamily("gocured_slo_burn_rate", "Error-budget burn rate per SLO and look-back window.")
-		sf := gaugeFamily("gocured_slo_state", "SLO alert state: 0 ok, 1 warn, 2 page.")
-		for _, s := range m.SLOs {
-			for _, wb := range s.Windows {
-				win := (time.Duration(wb.WindowMS) * time.Millisecond).String()
-				fmt.Fprintf(&bf.buf, "gocured_slo_burn_rate{slo=%q,window=%q} %s\n", s.Name, win, fmtFloat(wb.Burn))
-			}
-			state := 0
-			switch s.State {
-			case SLOStateWarn:
-				state = 1
-			case SLOStatePage:
-				state = 2
-			}
-			fmt.Fprintf(&sf.buf, "gocured_slo_state{slo=%q} %d\n", s.Name, state)
 		}
 	}
 
