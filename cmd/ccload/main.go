@@ -45,13 +45,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
 
 	"gocured/internal/loadgen"
+	"gocured/internal/provenance"
 )
 
 type sloReport struct {
@@ -79,17 +78,12 @@ type overloadReport struct {
 type report struct {
 	GeneratedBy string `json:"generated_by"`
 	Generated   string `json:"generated"`
-	// GitRevision, NProc, CPUModel and GoVersion record where the report
-	// came from: the ccload build's VCS revision ("-dirty" when built from
-	// a modified tree, empty when not stamped), the client machine's CPU
-	// count and model (empty off Linux), and the Go toolchain.
-	GitRevision string         `json:"git_revision"`
-	NProc       int            `json:"nproc"`
-	CPUModel    string         `json:"cpu_model"`
-	GoVersion   string         `json:"go_version"`
-	BaseURL     string         `json:"base_url"`
-	DurationS   float64        `json:"duration_s_per_level"`
-	Mix         map[string]int `json:"mix"`
+	// Host records where the report came from: the ccload build's
+	// revision and the client machine.
+	provenance.Host
+	BaseURL   string         `json:"base_url"`
+	DurationS float64        `json:"duration_s_per_level"`
+	Mix       map[string]int `json:"mix"`
 
 	// Saturation is the closed-loop sweep, one entry per concurrency
 	// level, in ascending order.
@@ -196,10 +190,7 @@ func main() {
 	rep := report{
 		GeneratedBy: "ccload",
 		Generated:   time.Now().UTC().Format(time.RFC3339),
-		GitRevision: gitRevision(),
-		NProc:       runtime.NumCPU(),
-		CPUModel:    cpuModel(),
-		GoVersion:   runtime.Version(),
+		Host:        provenance.Here(),
 		BaseURL:     *url,
 		DurationS:   duration.Seconds(),
 		Mix:         mix,
@@ -460,45 +451,6 @@ func main() {
 	} else {
 		fmt.Fprintln(os.Stderr, "ccload: all gates passed")
 	}
-}
-
-// gitRevision returns the VCS revision stamped into this binary, with a
-// "-dirty" suffix when the tree had uncommitted changes. `go run` and
-// builds outside a repository stamp none, so it is empty there.
-func gitRevision() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev string
-	var dirty bool
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if rev != "" && dirty {
-		rev += "-dirty"
-	}
-	return rev
-}
-
-// cpuModel returns the first "model name" line of /proc/cpuinfo, or ""
-// where there is none (off Linux, or on CPUs that do not report one).
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
-			return strings.TrimSpace(v)
-		}
-	}
-	return ""
 }
 
 func fatal(err error) {

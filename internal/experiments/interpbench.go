@@ -13,6 +13,7 @@ import (
 	"gocured/internal/corpus"
 	"gocured/internal/infer"
 	"gocured/internal/interp"
+	"gocured/internal/provenance"
 )
 
 // E11: interpreter-backend throughput. Every corpus program is compiled
@@ -31,9 +32,13 @@ type InterpBenchRow struct {
 	// backends by construction).
 	Steps uint64 `json:"steps"`
 
-	// Best-of-N wall times per run, milliseconds.
-	TreeMS float64 `json:"tree_ms"`
-	VMMS   float64 `json:"vm_ms"`
+	// Wall times per run, milliseconds: the fastest of the reps (what the
+	// throughput and speedup use) and the slowest, whose distance from it
+	// shows how noisy the measurement was.
+	TreeMS    float64 `json:"tree_ms"`
+	VMMS      float64 `json:"vm_ms"`
+	TreeMSMax float64 `json:"tree_ms_max"`
+	VMMSMax   float64 `json:"vm_ms_max"`
 
 	// Throughput in interpreter steps per second.
 	TreeStepsPerSec float64 `json:"tree_steps_per_sec"`
@@ -50,6 +55,8 @@ type InterpBenchRow struct {
 // InterpBench is the full tree vs vm comparison, serialized to
 // BENCH_interp.json.
 type InterpBench struct {
+	// Host records the ccbench build's revision and the machine measured.
+	provenance.Host
 	Scale int              `json:"scale"`
 	Reps  int              `json:"reps"`
 	Rows  []InterpBenchRow `json:"rows"`
@@ -65,7 +72,7 @@ type InterpBench struct {
 func MeasureInterp(cfg Config) *InterpBench {
 	progs := corpus.All()
 	reps := 3
-	bench := &InterpBench{Scale: cfg.Scale, Reps: reps, Rows: make([]InterpBenchRow, len(progs))}
+	bench := &InterpBench{Host: provenance.Here(), Scale: cfg.Scale, Reps: reps, Rows: make([]InterpBenchRow, len(progs))}
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 1
@@ -101,7 +108,7 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 	}
 	// The tree walker is reachable only through interp.Config, so E11 runs
 	// the cured unit directly rather than through gocured.Program.Run.
-	time1 := func(backend interp.Backend) (*interp.Outcome, float64) {
+	time1 := func(backend interp.Backend) (out *interp.Outcome, best, worst float64) {
 		cfg := interp.Config{Backend: backend}
 		// Warmup: the first vm run compiles the bytecode module (cached on
 		// the Unit thereafter); the first tree run warms layout caches.
@@ -109,20 +116,19 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 		if err != nil {
 			panic(fmt.Sprintf("interpbench: run %s (%s): %v", p.Name, backend, err))
 		}
-		best := math.MaxFloat64
+		best = math.MaxFloat64
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
 			if _, err := u.RunCured(cfg); err != nil {
 				panic(fmt.Sprintf("interpbench: run %s (%s): %v", p.Name, backend, err))
 			}
-			if ms := float64(time.Since(t0).Nanoseconds()) / 1e6; ms < best {
-				best = ms
-			}
+			ms := float64(time.Since(t0).Nanoseconds()) / 1e6
+			best, worst = math.Min(best, ms), math.Max(worst, ms)
 		}
-		return out, best
+		return out, best, worst
 	}
-	treeOut, treeMS := time1(interp.BackendTree)
-	vmOut, vmMS := time1(interp.BackendVM)
+	treeOut, treeMS, treeMax := time1(interp.BackendTree)
+	vmOut, vmMS, vmMax := time1(interp.BackendVM)
 	// The backends must be observably identical — counters included.
 	if treeOut.Stdout != vmOut.Stdout || treeOut.ExitCode != vmOut.ExitCode ||
 		!reflect.DeepEqual(treeOut.Trap, vmOut.Trap) ||
@@ -144,6 +150,8 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 		Steps:           treeOut.Counters.Steps,
 		TreeMS:          treeMS,
 		VMMS:            vmMS,
+		TreeMSMax:       treeMax,
+		VMMSMax:         vmMax,
 		TreeStepsPerSec: stepsPerSec(treeOut.Counters.Steps, treeMS),
 		VMStepsPerSec:   stepsPerSec(vmOut.Counters.Steps, vmMS),
 		Speedup:         treeMS / vmMS,

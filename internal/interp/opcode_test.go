@@ -256,6 +256,28 @@ int main(void) {
     printf("%d %d\n", m[1][3], *(&pa[j + 1][0] + 2));
     return 0;
 }`},
+	// A builtin declared to return an integer hands back a pointer: the
+	// call's int-typed register holds a VPtr until it is stored. Integer
+	// conversions of it (and of a pointer local) into locals, each followed
+	// by another statement, must store exactly the bytes convertVia makes.
+	{"pointer-in-int-register", `
+int printf(char *fmt, ...);
+long strchr(char *s, int c);
+int main(void) {
+    char *s = "abc";
+    long w; int v; short h; unsigned char b; int n = 0;
+    v = (int)strchr(s, 'b');
+    n = n + 1;
+    h = (short)strchr(s, 'c');
+    n = n + 2;
+    w = (long)s;
+    n = n + (v != 0) + (h != 0);
+    v = (int)w;
+    b = (unsigned char)s;
+    n = n + (v - (int)s) + (b == (unsigned char)w);
+    printf("%d %d %d %d\n", n, v - (int)s, (int)(w - (long)s), (int)b - (int)(unsigned char)v);
+    return n;
+}`},
 	{"switch-on-pointer", `
 int printf(char *fmt, ...);
 int main(void) {
@@ -315,7 +337,9 @@ func TestOpcodeSemantics(t *testing.T) {
 	}
 	// Hand-built IR reaches the shapes no C program lowers to: an array
 	// index that stays an lvalue offset (sema decays every subscripted
-	// array) and a constant operand beside a float (C converts it).
+	// array), a constant operand beside a float (C converts it) and a call
+	// result converted on its way into a variable (C goes through a
+	// temporary of the return type).
 	handBuilt := handBuiltProgram()
 	for _, fc := range vm.Compile(handBuilt, instrument.RawLayout{}).Funcs {
 		for _, in := range fc.Code {
@@ -333,8 +357,8 @@ func TestOpcodeSemantics(t *testing.T) {
 	if err := identicalBackends("hand-built IR", outs[0], outs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Trap != nil || outs[0].ExitCode != 2 {
-		t.Fatalf("hand-built IR: exit %d, trap %v; want exit 2", outs[0].ExitCode, outs[0].Trap)
+	if outs[0].Trap != nil || outs[0].ExitCode != 3 {
+		t.Fatalf("hand-built IR: exit %d, trap %v; want exit 3", outs[0].ExitCode, outs[0].Trap)
 	}
 
 	var missing []string
@@ -350,15 +374,23 @@ func TestOpcodeSemantics(t *testing.T) {
 
 // handBuiltProgram is, in C terms,
 //
-//	int main(void) { int a[4]; int i; double x;
-//	    i = 2; a[i] = 7; x = -1.5 * 4; x = x + 1; return a[i] + (int)x; }
+//	long strchr(char *s, int c);
+//	int main(void) { int a[4]; int i; double x; int v;
+//	    v = strchr("ab", 'b'); i = 2; a[i] = 7; x = -1.5 * 4; x = x + 1;
+//	    return a[i] + (int)x + (v != 0); }
 //
-// with a[i] kept as an index offset on a, and 4 and 1 kept int constants.
+// with a[i] kept as an index offset on a, 4 and 1 kept int constants, and
+// the call's result stored into v directly, through a conversion between
+// two distinct but equal int types: the register it converts holds the
+// pointer the builtin returns, so the conversion is not an identity.
 func handBuiltProgram() *cil.Program {
 	intT, dbl := ctypes.IntT(), ctypes.FloatType(8)
 	a := &cil.Var{Name: "a", Type: ctypes.ArrayOf(intT, 4)}
 	i := &cil.Var{Name: "i", Type: intT}
 	x := &cil.Var{Name: "x", Type: dbl}
+	v := &cil.Var{Name: "v", Type: ctypes.IntT()}
+	charP := ctypes.PointerTo(ctypes.CharType())
+	strchr := &cil.FnConst{Name: "strchr", Ty: ctypes.PointerTo(ctypes.FuncType(ctypes.IntT(), []*ctypes.Type{charP, intT}, nil, false))}
 	ai := func() *cil.Lvalue {
 		return &cil.Lvalue{Var: a, Offset: []cil.OffElem{{Index: &cil.Lval{LV: cil.VarLV(i)}}}, Ty: intT}
 	}
@@ -368,8 +400,10 @@ func handBuiltProgram() *cil.Program {
 	fn := &cil.Func{
 		Name:   "main",
 		Type:   ctypes.FuncType(intT, nil, nil, false),
-		Locals: []*cil.Var{a, i, x},
+		Locals: []*cil.Var{a, i, x, v},
 		Body: &cil.Block{Stmts: []cil.Stmt{
+			&cil.SInstr{Ins: &cil.Call{Result: cil.VarLV(v), Fn: strchr,
+				Args: []cil.Expr{&cil.StrConst{S: "ab", Ty: charP}, &cil.Const{I: 'b', Ty: intT}}}},
 			set(cil.VarLV(i), &cil.Const{I: 2, Ty: intT}),
 			set(ai(), &cil.Const{I: 7, Ty: intT}),
 			set(cil.VarLV(x), &cil.BinOp{Op: cil.OpMul,
@@ -377,8 +411,9 @@ func handBuiltProgram() *cil.Program {
 				B: &cil.Const{I: 4, Ty: intT}, Ty: dbl}),
 			set(cil.VarLV(x), &cil.BinOp{Op: cil.OpAdd, A: &cil.Lval{LV: cil.VarLV(x)},
 				B: &cil.Const{I: 1, Ty: intT}, Ty: dbl}),
-			&cil.Return{X: &cil.BinOp{Op: cil.OpAdd, A: &cil.Lval{LV: ai()},
-				B: &cil.Cast{To: intT, X: &cil.Lval{LV: cil.VarLV(x)}}, Ty: intT}},
+			&cil.Return{X: &cil.BinOp{Op: cil.OpAdd, A: &cil.BinOp{Op: cil.OpAdd, A: &cil.Lval{LV: ai()},
+				B: &cil.Cast{To: intT, X: &cil.Lval{LV: cil.VarLV(x)}}, Ty: intT},
+				B: &cil.BinOp{Op: cil.OpNe, A: &cil.Lval{LV: cil.VarLV(v)}, B: &cil.Const{I: 0, Ty: intT}, Ty: intT}, Ty: intT}},
 		}},
 	}
 	return &cil.Program{Funcs: []*cil.Func{fn}, FuncMap: map[string]*cil.Func{fn.Name: fn}}

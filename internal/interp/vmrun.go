@@ -127,18 +127,8 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 			if rb.asInt(in.B) == fc.Consts[in.C] {
 				pc = int(in.A)
 			}
-		case vm.OpJumpBinFalse:
-			x, y := rb.get(in.B), rb.get(in.C)
-			if !m.vmBin(&fc.Bins[in.D], &x, &y).Truthy() {
-				pc = int(in.A)
-			}
 		case vm.OpJumpBinFalseI:
 			if m.intBin(&fc.Bins[in.D], d[in.B], d[in.C]) == 0 {
-				pc = int(in.A)
-			}
-		case vm.OpJumpBinConstFalse:
-			x, cv := rb.get(in.B), IntVal(fc.Consts[in.C])
-			if !m.vmBin(&fc.Bins[in.D], &x, &cv).Truthy() {
 				pc = int(in.A)
 			}
 		case vm.OpJumpBinConstFalseI:
@@ -274,9 +264,6 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 			rb.set(in.A, m.vmBin(&fc.Bins[in.D], &x, &y))
 		case vm.OpBinI:
 			d[in.A], k[in.A] = m.intBin(&fc.Bins[in.D], d[in.B], d[in.C]), VInt
-		case vm.OpBinConst:
-			x, cv := rb.get(in.B), IntVal(fc.Consts[in.C])
-			rb.set(in.A, m.vmBin(&fc.Bins[in.D], &x, &cv))
 		case vm.OpBinConstI:
 			d[in.A], k[in.A] = m.intBin(&fc.Bins[in.D], d[in.B], fc.Consts[in.C]), VInt
 		case vm.OpPtrAdd:
@@ -408,14 +395,8 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 		case vm.OpConvStoreLocal:
 			m.vmStore(fr.base+uint32(in.A), &fc.TyDescs[in.D], fc.Types[in.D], fc.TySizes[in.D],
 				m.convertVia(rb.get(in.B), &fc.Convs[in.C]))
-		case vm.OpJumpFalseStep, vm.OpJumpFalseStepI:
-			var taken bool
-			if in.Op == vm.OpJumpFalseStepI {
-				taken = d[in.B] == 0
-			} else {
-				taken = !rb.truthy(in.B)
-			}
-			if taken {
+		case vm.OpJumpFalseStepI:
+			if d[in.B] == 0 {
 				pc = int(in.A)
 			} else {
 				m.cnt.Steps++
@@ -430,14 +411,6 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 					m.curPos = fc.Poss[in.C]
 				}
 			}
-		case vm.OpLoadLocalBin:
-			addr := fr.base + uint32(in.B)
-			if m.policyShadow != nil {
-				m.policyShadow.onLoad(m, addr, uint32(fc.TySizes[in.C]))
-			}
-			lv := m.vmLoad(addr, &fc.TyDescs[in.C], fc.Types[in.C])
-			x := rb.get(in.A)
-			rb.set(in.A, m.vmBin(&fc.Bins[in.D], &x, &lv))
 		case vm.OpLoadLocalBinI:
 			addr := fr.base + uint32(in.B)
 			if m.policyShadow != nil {
@@ -450,22 +423,13 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 				m.policyShadow.onLoad(m, addr, uint32(fc.TySizes[in.C]))
 			}
 			d[in.A] = int64(uint32(d[in.A] + m.vmLoadInt(addr, &fc.TyDescs[in.C])*fc.Bins[in.D].Esz))
-		case vm.OpLoadLocalBinConst:
-			addr := fr.base + uint32(in.B)
-			if m.policyShadow != nil {
-				m.policyShadow.onLoad(m, addr, uint32(fc.TySizes[in.C]))
-			}
-			bi := &fc.Bins[in.D]
-			lv, cv := m.vmLoad(addr, &fc.TyDescs[in.C], fc.Types[in.C]), IntVal(bi.CI)
-			rb.set(in.A, m.vmBin(bi, &lv, &cv))
 		case vm.OpLoadLocalPtrAddConst:
 			addr := fr.base + uint32(in.B)
 			if m.policyShadow != nil {
 				m.policyShadow.onLoad(m, addr, uint32(fc.TySizes[in.C]))
 			}
 			m.vmLoadReg(addr, &fc.TyDescs[in.C], fc.Types[in.C], rb, in.A)
-			bi := &fc.Bins[in.D]
-			d[in.A] = int64(uint32(d[in.A] + bi.CI*bi.Esz))
+			d[in.A] = int64(uint32(d[in.A] + fc.Consts[in.D]))
 		case vm.OpLoadLocalBinConstI:
 			addr := fr.base + uint32(in.B)
 			if m.policyShadow != nil {
@@ -502,19 +466,6 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 			if in.D >= 0 {
 				m.curPos = fc.Poss[in.D]
 			}
-		case vm.OpLoadLocal2Bin:
-			bi := &fc.Bins[in.D]
-			a1 := fr.base + uint32(in.B)
-			if m.policyShadow != nil {
-				m.policyShadow.onLoad(m, a1, uint32(fc.TySizes[bi.LTy]))
-			}
-			lv1 := m.vmLoad(a1, &fc.TyDescs[bi.LTy], fc.Types[bi.LTy])
-			a2 := fr.base + uint32(in.C)
-			if m.policyShadow != nil {
-				m.policyShadow.onLoad(m, a2, uint32(fc.TySizes[bi.RTy]))
-			}
-			lv2 := m.vmLoad(a2, &fc.TyDescs[bi.RTy], fc.Types[bi.RTy])
-			rb.set(in.A, m.vmBin(bi, &lv1, &lv2))
 		case vm.OpLoadLocal2PtrAdd:
 			bi := &fc.Bins[in.D]
 			a1 := fr.base + uint32(in.B)
@@ -539,7 +490,7 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 				m.policyShadow.onLoad(m, a2, uint32(fc.TySizes[bi.RTy]))
 			}
 			d[in.A], k[in.A] = m.intBin(bi, x, m.vmLoadInt(a2, &fc.TyDescs[bi.RTy])), VInt
-		case vm.OpStepLoadLocalBinConst, vm.OpStepLoadLocalBinConstI:
+		case vm.OpStepLoadLocalBinConstI:
 			m.cnt.Steps++
 			m.cnt.Cost++
 			if m.cnt.Steps > m.stepLimit {
@@ -556,12 +507,7 @@ func (m *Machine) vmExec(fr *frame, fc *vm.FuncCode) Value {
 			if m.policyShadow != nil {
 				m.policyShadow.onLoad(m, addr, uint32(fc.TySizes[bi.LTy]))
 			}
-			if in.Op == vm.OpStepLoadLocalBinConstI {
-				d[in.A], k[in.A] = m.intBin(bi, m.vmLoadInt(addr, &fc.TyDescs[bi.LTy]), bi.CI), VInt
-			} else {
-				lv, cv := m.vmLoad(addr, &fc.TyDescs[bi.LTy], fc.Types[bi.LTy]), IntVal(bi.CI)
-				rb.set(in.A, m.vmBin(bi, &lv, &cv))
-			}
+			d[in.A], k[in.A] = m.intBin(bi, m.vmLoadInt(addr, &fc.TyDescs[bi.LTy]), bi.CI), VInt
 		case vm.OpStepCheckBegin:
 			m.cnt.Steps++
 			m.cnt.Cost++

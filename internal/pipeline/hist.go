@@ -9,7 +9,7 @@ import (
 // The latency histograms use HDR-style logarithmic buckets: bounds grow by
 // a factor of 2^(1/4) (four sub-buckets per octave, ~19% relative width,
 // so a quantile read from the buckets is within ~9% of the true value)
-// from 1µs to ~74s, with a final +Inf overflow bucket. One fixed bound
+// from 1µs to ~67s, with a final +Inf overflow bucket. One fixed bound
 // table serves every duration-shaped metric — end-to-end latency,
 // queue wait, per-phase compile times — and the Prometheus exposition
 // renders every one with the same le labels; the queue-depth histogram
@@ -17,7 +17,7 @@ import (
 // bounding n).
 const (
 	logBucketsPerOctave = 4
-	logBucketCount      = 105 // 26+ octaves: 0.001ms .. ~74s
+	logBucketCount      = 105 // 26 octaves: 0.001ms .. 0.001ms*2^(104/4) = ~67.1s
 	logBucketMinMS      = 0.001
 )
 

@@ -65,7 +65,6 @@ func compileFunc(fn *cil.Func, lay Layout, mod *Module, globalIdx map[*cil.Var]i
 	if c.fc.NumRegs == 0 {
 		c.fc.NumRegs = 1
 	}
-	c.specialize()
 	return c.fc
 }
 
@@ -91,8 +90,13 @@ type fnCompiler struct {
 	loops      []*loopCtx
 
 	// barrier is the highest code index handed out as a jump target; the
-	// peephole fusers never merge across it.
+	// peephole fuser never merges across it.
 	barrier int
+	// rk is what each register is proven to hold after the code emitted
+	// so far (see specialize); srcK is the proof the last OpFieldOff or
+	// OpUn found on the operand it overwrote in place.
+	rk   []regKind
+	srcK regKind
 
 	constIdx map[int64]int32
 	floatIdx map[float64]int32
@@ -118,6 +122,7 @@ func (c *fnCompiler) alloc() int32 {
 	c.top++
 	if c.top > c.maxReg {
 		c.maxReg = c.top
+		c.rk = append(c.rk, rkAny)
 	}
 	return r
 }
@@ -126,25 +131,40 @@ func (c *fnCompiler) release(to int32) { c.top = to }
 
 // ---- emission ----
 
-func (c *fnCompiler) emit(i Instr) int {
-	c.fc.Code = append(c.fc.Code, i)
+// emit appends in, first specialized by the proven register kinds and then
+// fused into the instructions before it for as long as fuse finds a
+// superinstruction. It returns the index in (or its fusion) landed at.
+func (c *fnCompiler) emit(in Instr) int {
+	c.specialize(&in)
+	for c.fusable() {
+		n := len(c.fc.Code) - 1
+		f, ok := c.fuse(c.fc.Code[n], in)
+		if !ok {
+			break
+		}
+		c.fc.Code, in = c.fc.Code[:n], f
+	}
+	c.fc.Code = append(c.fc.Code, in)
 	return len(c.fc.Code) - 1
 }
 
-// here hands out the current position as a (future) jump target; it also
+// here hands out the current position as a (future) jump target. It
 // raises the fusion barrier, because once an index is a label the
-// instruction emitted there must stay a separate dispatch.
+// instruction emitted there must stay a separate dispatch, and forgets
+// every kind proof, because control merges there.
 func (c *fnCompiler) here() int32 {
 	c.barrier = len(c.fc.Code)
+	clear(c.rk)
 	return int32(len(c.fc.Code))
 }
 
 func (c *fnCompiler) patch(at int) { c.fc.Code[at].A = c.here() }
 
 // fusable reports whether the next instruction may merge into the last
-// emitted one: there is a last instruction, and no label points at the
-// slot between them (a label at the last instruction itself is fine —
-// jumping there runs the fused pair, exactly what the split pair did).
+// one: there is a last instruction, and no label points at the slot
+// after it (a label at the last instruction itself is fine — jumping
+// there runs the fused pair, exactly what the split pair did). No jump
+// can target a slot past the barrier, so merging never moves a target.
 func (c *fnCompiler) fusable() bool {
 	return len(c.fc.Code) > 0 && c.barrier < len(c.fc.Code)
 }
@@ -286,53 +306,7 @@ func (c *fnCompiler) step(pos diag.Pos) {
 	if pos.IsValid() {
 		a = c.posI(pos)
 	}
-	if c.fusable() {
-		last := &c.fc.Code[len(c.fc.Code)-1]
-		switch last.Op {
-		case OpStoreLocal:
-			*last = Instr{Op: OpStoreLocalStep, A: last.A, B: last.B, C: last.C, D: a}
-			return
-		case OpJumpFalse:
-			// The step charges only on fall-through; the branch target is a
-			// different statement with its own step (pending patches keep
-			// pointing at this index).
-			*last = Instr{Op: OpJumpFalseStep, A: last.A, B: last.B, C: a}
-			return
-		case OpCheck:
-			*last = Instr{Op: OpCheckStep, B: last.B, C: last.C, D: a}
-			return
-		}
-	}
 	c.emit(Instr{Op: OpStep, A: a})
-}
-
-// condFalse emits the branch taken when register r is false. When r was
-// produced by the instruction just emitted — an OpBin/OpBinConst whose
-// value dies at the branch (If releases its condition registers
-// immediately after) — the pair folds into one fused compare-and-branch;
-// dropping the dead register write is unobservable.
-func (c *fnCompiler) condFalse(r int32) int {
-	if n := len(c.fc.Code) - 1; n >= 0 {
-		last := c.fc.Code[n]
-		if last.A == r {
-			switch last.Op {
-			case OpBin:
-				c.fc.Code[n] = Instr{Op: OpJumpBinFalse, A: -1, B: last.B, C: last.C, D: last.D}
-				return n
-			case OpBinConst:
-				c.fc.Code[n] = Instr{Op: OpJumpBinConstFalse, A: -1, B: last.B, C: last.C, D: last.D}
-				return n
-			case OpUn:
-				if c.fc.Uns[last.C].Op == cil.OpNot {
-					// if (!x): the Not was in place (B == A == r), so its
-					// dropped write leaves the original operand in r.
-					c.fc.Code[n] = Instr{Op: OpJumpTrue, A: -1, B: last.B}
-					return n
-				}
-			}
-		}
-	}
-	return c.emit(Instr{Op: OpJumpFalse, A: -1, B: r})
 }
 
 func (c *fnCompiler) stmt(s cil.Stmt) {
@@ -346,8 +320,8 @@ func (c *fnCompiler) stmt(s cil.Stmt) {
 		c.instr(st.Ins)
 	case *cil.If:
 		c.step(diag.Pos{})
-		r := c.expr(st.Cond)
-		jf := c.condFalse(r)
+		// The condition dies at the branch: If releases it right after.
+		jf := c.emit(Instr{Op: OpJumpFalse, A: -1, B: c.expr(st.Cond)})
 		c.release(mark)
 		c.block(st.Then)
 		if st.Else != nil {
@@ -546,12 +520,7 @@ func (c *fnCompiler) call(in *cil.Call) {
 
 func (c *fnCompiler) checkInstr(chk *cil.Check) {
 	ci := c.checkI(chk)
-	if c.fusable() && c.fc.Code[len(c.fc.Code)-1].Op == OpStep {
-		last := &c.fc.Code[len(c.fc.Code)-1]
-		*last = Instr{Op: OpStepCheckBegin, C: ci, D: last.A}
-	} else {
-		c.emit(Instr{Op: OpCheckBegin, C: ci})
-	}
+	c.emit(Instr{Op: OpCheckBegin, C: ci})
 	r := c.expr(chk.Ptr)
 	if chk.Kind == cil.CheckStackEscape {
 		// The destination lvalue is evaluated only when the value really
@@ -562,14 +531,6 @@ func (c *fnCompiler) checkInstr(chk *cil.Check) {
 		c.emit(Instr{Op: OpStackVerify, B: r, C: dst})
 		c.patch(skip)
 		return
-	}
-	if c.fusable() {
-		if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpBin && last.A == r {
-			// Checked pointer arithmetic (CheckSeq on p+i): compute and
-			// judge in one dispatch; the register write was dead.
-			*last = Instr{Op: OpBinCheck, A: ci, B: last.B, C: last.C, D: last.D}
-			return
-		}
 	}
 	c.emit(Instr{Op: OpCheck, B: r, C: ci})
 }
@@ -582,16 +543,7 @@ func (c *fnCompiler) conv(r int32, from, to *ctypes.Type, trusted bool) {
 	if from == nil || to == nil || from == to {
 		return
 	}
-	ci := c.convI(NewConvInfo(c.lay, from, to, trusted))
-	if c.fusable() {
-		if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpLoad && last.A == r {
-			// Loaded-then-converted value (*p widened or cast): the raw
-			// load's register write was dead.
-			*last = Instr{Op: OpLoadConv, A: last.A, B: last.B, C: last.C, D: ci}
-			return
-		}
-	}
-	c.emit(Instr{Op: OpConvert, A: r, B: r, C: ci})
+	c.emit(Instr{Op: OpConvert, A: r, B: r, C: c.convI(NewConvInfo(c.lay, from, to, trusted))})
 }
 
 // expr compiles e; the result register is always the first register
@@ -630,35 +582,12 @@ func (c *fnCompiler) expr(e cil.Expr) int32 {
 					c.emit(Instr{Op: OpLoadGlobal, A: r, B: c.globalI(x.LV.Var), C: ty, D: pOff})
 					return r
 				}
-				off := c.localOff(x.LV.Var) + pOff
-				if c.fusable() {
-					if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpStep {
-						// A statement's first action is very often reading a
-						// local — the single hottest dynamic pair.
-						*last = Instr{Op: OpStepLoadLocal, A: r, B: off, C: ty, D: last.A}
-						return r
-					}
-				}
-				c.emit(Instr{Op: OpLoadLocal, A: r, B: off, C: ty})
-				return r
-			}
-		} else if len(x.LV.Offset) == 0 {
-			// Plain *p: the bounds OpAddrMem would compute are dead for a
-			// load, so read straight through the pointer value.
-			r := c.expr(x.LV.Mem)
-			c.emit(Instr{Op: OpLoad, A: r, B: r, C: c.typeI(x.LV.Ty)})
-			return r
-		}
-		r := c.lval(x.LV)
-		ty := c.typeI(x.LV.Ty)
-		if c.fusable() {
-			if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpFieldOff && last.A == r {
-				// p->f: the field's home bounds are dead for a load.
-				*last = Instr{Op: OpLoadField, A: r, B: last.B, C: last.C, D: ty}
+				c.emit(Instr{Op: OpLoadLocal, A: r, B: c.localOff(x.LV.Var) + pOff, C: ty})
 				return r
 			}
 		}
-		c.emit(Instr{Op: OpLoad, A: r, B: r, C: ty})
+		r := c.addr(x.LV)
+		c.emit(Instr{Op: OpLoad, A: r, B: r, C: c.typeI(x.LV.Ty)})
 		return r
 	case *cil.AddrOf:
 		r := c.lval(x.LV)
@@ -703,55 +632,10 @@ func (c *fnCompiler) expr(e cil.Expr) int32 {
 				bi.NSh = normShift(t.Size)
 			}
 		}
+		// The right operand dies at the operation, so a constant or local
+		// there folds into it (see fuse).
 		a := c.expr(x.A)
-		// A constant RHS (loop bounds, increments, pointer offsets) folds
-		// into the operation: constant evaluation is pure in the tree.
-		if cc, isConst := x.B.(*cil.Const); isConst {
-			if c.fusable() {
-				switch last := &c.fc.Code[len(c.fc.Code)-1]; {
-				case last.Op == OpLoadLocal && last.A == a:
-					// local <op> constant (i < n, i + 1, ...): the load's
-					// register write was the operation's only consumer.
-					fused := bi
-					fused.CI = cc.I
-					*last = Instr{Op: OpLoadLocalBinConst, A: a, B: last.B, C: last.C, D: c.binI(fused)}
-					return a
-				case last.Op == OpStepLoadLocal && last.A == a:
-					// Statement-initial local <op> constant: fold the step in
-					// too (the load's type index rides in the BinInfo).
-					fused := bi
-					fused.CI = cc.I
-					fused.LTy = last.C
-					*last = Instr{Op: OpStepLoadLocalBinConst, A: a, B: last.B, C: c.binI(fused), D: last.D}
-					return a
-				}
-			}
-			c.emit(Instr{Op: OpBinConst, A: a, B: a, C: c.constI(cc.I), D: c.binI(bi)})
-			return a
-		}
 		b := c.expr(x.B)
-		if c.fusable() {
-			if n := len(c.fc.Code) - 1; c.fc.Code[n].Op == OpLoadLocal && c.fc.Code[n].A == b {
-				last := c.fc.Code[n]
-				if c.barrier < n && c.fc.Code[n-1].Op == OpLoadLocal && c.fc.Code[n-1].A == a {
-					// local <op> local: both operand loads fold in. Dropping
-					// the RHS load instruction is safe — no label points at
-					// or past it (barrier check), so no jump index shifts.
-					prev := c.fc.Code[n-1]
-					fused := bi
-					fused.LTy = prev.C
-					fused.RTy = last.C
-					c.fc.Code[n-1] = Instr{Op: OpLoadLocal2Bin, A: a, B: prev.B, C: last.B, D: c.binI(fused)}
-					c.fc.Code = c.fc.Code[:n]
-					c.release(b)
-					return a
-				}
-				// lhs <op> local: fold the RHS load into the operation.
-				c.fc.Code[n] = Instr{Op: OpLoadLocalBin, A: a, B: last.B, C: last.C, D: c.binI(bi)}
-				c.release(b)
-				return a
-			}
-		}
 		c.emit(Instr{Op: OpBin, A: a, B: a, C: b, D: c.binI(bi)})
 		c.release(b)
 		return a
@@ -860,17 +744,7 @@ func (c *fnCompiler) lval(lv *cil.Lvalue) int32 {
 			// alone, so the bounds OpAddrMem would derive are dead.
 			break
 		}
-		sz := scalarSize(c.lay, cur)
-		if c.fusable() {
-			if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpBin && last.A == r {
-				// p[i] via pointer arithmetic: *(p + i) in one dispatch.
-				fused := c.fc.Bins[last.D]
-				fused.MemSize = sz
-				*last = Instr{Op: OpBinAddrMem, A: r, B: last.B, C: last.C, D: c.binI(fused)}
-				break
-			}
-		}
-		c.emit(Instr{Op: OpAddrMem, A: r, B: r, C: sz})
+		c.emit(Instr{Op: OpAddrMem, A: r, B: r, C: scalarSize(c.lay, cur)})
 	}
 	for i := 0; i < len(lv.Offset); i++ {
 		o := lv.Offset[i]
@@ -908,8 +782,21 @@ func (c *fnCompiler) lval(lv *cil.Lvalue) int32 {
 // Index case), so it compiles to OpAddPI with a unit element size.
 func (c *fnCompiler) indexStep(r int32, disp int64) {
 	if disp != 0 {
-		c.emit(Instr{Op: OpBinConst, A: r, B: r, C: c.constI(disp), D: c.binI(BinInfo{Op: cil.OpAddPI, Esz: 1})})
+		k := c.alloc()
+		c.emit(Instr{Op: OpConstInt, A: k, B: c.constI(disp)})
+		c.emit(Instr{Op: OpBin, A: r, B: r, C: k, D: c.binI(BinInfo{Op: cil.OpAddPI, Esz: 1})})
+		c.release(k)
 	}
+}
+
+// addr compiles the address lv designates for a load or store. A plain *p
+// needs no OpAddrMem: the bounds it would compute are dead for an access,
+// so the access goes straight through the pointer value.
+func (c *fnCompiler) addr(lv *cil.Lvalue) int32 {
+	if lv.Var == nil && len(lv.Offset) == 0 {
+		return c.expr(lv.Mem)
+	}
+	return c.lval(lv)
 }
 
 // store assigns register r to lv, fusing fully-static local and global
@@ -923,33 +810,11 @@ func (c *fnCompiler) store(lv *cil.Lvalue, r int32) {
 				c.emit(Instr{Op: OpStoreGlobal, A: c.globalI(lv.Var), B: r, C: ty, D: pOff})
 				return
 			}
-			off := c.localOff(lv.Var) + pOff
-			if c.fusable() {
-				if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpConvert && last.A == r && last.B == r {
-					// The assignment conversion's register write is dead —
-					// only the stored (converted) value survives.
-					*last = Instr{Op: OpConvStoreLocal, A: off, B: r, C: last.C, D: ty}
-					return
-				}
-			}
-			c.emit(Instr{Op: OpStoreLocal, A: off, B: r, C: ty})
+			// r dies at the store: an assignment conversion into it fuses.
+			c.emit(Instr{Op: OpStoreLocal, A: c.localOff(lv.Var) + pOff, B: r, C: ty})
 			return
 		}
 	}
-	if lv.Var == nil && len(lv.Offset) == 0 {
-		// Plain *p = v: OpAddrMem's bounds are dead for a store.
-		addr := c.expr(lv.Mem)
-		c.emit(Instr{Op: OpStore, A: addr, B: r, C: c.typeI(lv.Ty)})
-		return
-	}
-	addr := c.lval(lv)
-	ty := c.typeI(lv.Ty)
-	if c.fusable() {
-		if last := &c.fc.Code[len(c.fc.Code)-1]; last.Op == OpFieldOff && last.A == addr {
-			// p->f = v: the field's home bounds are dead for a store.
-			*last = Instr{Op: OpStoreField, A: last.B, B: r, C: ty, D: last.C}
-			return
-		}
-	}
-	c.emit(Instr{Op: OpStore, A: addr, B: r, C: ty})
+	addr := c.addr(lv)
+	c.emit(Instr{Op: OpStore, A: addr, B: r, C: c.typeI(lv.Ty)})
 }

@@ -155,164 +155,66 @@ func (c *fnCompiler) ptrBin(i int32) (int32, bool) {
 	return 0, false
 }
 
-// specialize is the last compile pass: it walks the finished code,
-// tracks what each register is proven to hold, and rewrites generic
-// opcodes into their integer and pointer forms where the proof holds.
-// Registers live within one statement's expressions, so the proof is
-// forgotten at every jump target, where control merges.
-func (c *fnCompiler) specialize() {
-	code := c.fc.Code
-	target := make([]bool, len(code)+1)
-	for _, in := range code {
-		switch in.Op {
-		case OpJump, OpJumpFalse, OpJumpEq, OpJumpBinFalse, OpJumpBinConstFalse,
-			OpJumpTrue, OpJumpBack, OpJumpFalseStep, OpStackTest:
-			target[in.A] = true
+// specialize rewrites in, which the compiler is about to emit, into its
+// integer or pointer form where the kinds proven for its operands allow,
+// and records the kind it leaves in its destination register. The proof
+// holds for straight-line code only: here() forgets it at every label,
+// where control merges. Superinstructions are built afterwards, by fuse,
+// from the already-specialized halves.
+func (c *fnCompiler) specialize(in *Instr) {
+	rk := c.rk
+	switch in.Op {
+	case OpConstInt:
+		rk[in.A] = rkInt
+	case OpConstFloat:
+		rk[in.A] = rkFloat
+	case OpConstStr, OpFnAddr, OpAddrLocal, OpAddrGlobal, OpAddrMem, OpAddrOf:
+		rk[in.A] = rkPtr
+	case OpFieldOff:
+		c.srcK, rk[in.A] = rk[in.B], rkPtr
+	case OpLoad:
+		if c.tyKind(in.C) == rkInt && rk[in.B] == rkPtr {
+			in.Op = OpLoadI
 		}
-	}
-	rk := make([]regKind, c.fc.NumRegs)
-	for pc := range code {
-		if target[pc] {
-			clear(rk)
+		rk[in.A] = c.tyKind(in.C)
+	case OpStore:
+		if c.tyKind(in.C) == rkInt && rk[in.A] == rkPtr && rk[in.B].intLike() {
+			in.Op = OpStoreI
 		}
-		in := &code[pc]
-		switch in.Op {
-		case OpConstInt:
-			rk[in.A] = rkInt
-		case OpConstFloat:
-			rk[in.A] = rkFloat
-		case OpConstStr, OpFnAddr, OpAddrLocal, OpAddrGlobal, OpAddrMem, OpFieldOff, OpAddrOf, OpBinAddrMem:
-			rk[in.A] = rkPtr
-		case OpLoad:
-			if c.tyKind(in.C) == rkInt && rk[in.B] == rkPtr {
-				in.Op = OpLoadI
-			}
-			rk[in.A] = c.tyKind(in.C)
-		case OpStore:
-			if c.tyKind(in.C) == rkInt && rk[in.A] == rkPtr && rk[in.B].intLike() {
-				in.Op = OpStoreI
-			}
-		case OpLoadField:
-			if c.tyKind(in.D) == rkInt && rk[in.B] == rkPtr {
-				in.Op = OpLoadFieldI
-			}
-			rk[in.A] = c.tyKind(in.D)
-		case OpStoreField:
-			if c.tyKind(in.C) == rkInt && rk[in.A] == rkPtr && rk[in.B].intLike() {
-				in.Op = OpStoreFieldI
-			}
-		case OpLoadGlobal:
-			rk[in.A] = c.tyKind(in.C)
-		case OpLoadLocal:
-			if rk[in.A] = c.tyKind(in.C); rk[in.A] == rkInt {
-				in.Op = OpLoadLocalI
-			}
-		case OpStepLoadLocal:
-			if rk[in.A] = c.tyKind(in.C); rk[in.A] == rkInt {
-				in.Op = OpStepLoadLocalI
-			}
-		case OpStoreLocal:
-			if c.tyKind(in.C) == rkInt && rk[in.B].intLike() {
-				in.Op = OpStoreLocalI
-			}
-		case OpStoreLocalStep:
-			if c.tyKind(in.C) == rkInt && rk[in.B].intLike() {
-				in.Op = OpStoreLocalStepI
-			}
-		case OpConvStoreLocal:
-			cv := c.fc.Convs[in.C]
-			if c.tyKind(in.D) == rkInt && rk[in.B].intLike() && cv.To.IsInteger() &&
-				int32(cv.To.Size) == c.fc.TyDescs[in.D].Size {
-				*in = Instr{Op: OpStoreLocalI, A: in.A, B: in.B, C: in.D}
-			}
-		case OpConvert:
-			from := rk[in.B]
-			if from.intLike() && c.fc.Convs[in.C].To.IsInteger() {
-				in.Op = OpConvertI
-			}
-			rk[in.A] = c.convKind(in.C, from)
-		case OpLoadConv:
-			if c.tyKind(in.C) == rkInt && c.fc.Convs[in.D].To.IsInteger() {
-				in.Op = OpLoadConvI
-			}
-			rk[in.A] = c.convKind(in.D, c.tyKind(in.C))
-		case OpBin:
-			a, b := rk[in.B], rk[in.C]
-			if c.intBin(in.D) && a == rkInt && b == rkInt {
-				in.Op = OpBinI
-			} else if pb, ok := c.ptrBin(in.D); ok && a == rkPtr && b.intLike() && in.A == in.B {
-				in.Op, in.D = OpPtrAdd, pb
-			}
-			rk[in.A] = c.binKind(in.D, a, b)
-		case OpBinConst:
-			a, k := rk[in.B], c.binKind(in.D, rk[in.B], rkInt)
-			if c.intBin(in.D) && a == rkInt {
-				in.Op = OpBinConstI
-			} else if pb, ok := c.ptrBin(in.D); ok && a == rkPtr && in.A == in.B {
-				*in = Instr{Op: OpPtrAddConst, A: in.A, B: in.B, C: c.constI(c.fc.Consts[in.C] * c.fc.Bins[pb].Esz)}
-			}
-			rk[in.A] = k
-		case OpJumpBinFalse:
-			if c.intBin(in.D) && rk[in.B] == rkInt && rk[in.C] == rkInt {
-				in.Op = OpJumpBinFalseI
-			}
-		case OpJumpBinConstFalse:
-			if c.intBin(in.D) && rk[in.B] == rkInt {
-				in.Op = OpJumpBinConstFalseI
-			}
-		case OpLoadLocalBin:
-			a, b := rk[in.A], c.tyKind(in.C)
-			if c.intBin(in.D) && a == rkInt && b == rkInt {
-				in.Op = OpLoadLocalBinI
-			} else if pb, ok := c.ptrBin(in.D); ok && a == rkPtr && b == rkInt {
-				in.Op, in.D = OpLoadLocalPtrAdd, pb
-			}
-			rk[in.A] = c.binKind(in.D, a, b)
-		case OpLoadLocalBinConst:
-			a := c.tyKind(in.C)
-			if c.intBin(in.D) && a == rkInt {
-				in.Op = OpLoadLocalBinConstI
-			} else if pb, ok := c.ptrBin(in.D); ok && a == rkPtr {
-				fused := c.fc.Bins[pb]
-				fused.CI = c.fc.Bins[in.D].CI
-				in.Op, in.D = OpLoadLocalPtrAddConst, c.binI(fused)
-			}
-			rk[in.A] = c.binKind(in.D, a, rkInt)
-		case OpLoadLocal2Bin:
-			bi := c.fc.Bins[in.D]
-			a, b := c.tyKind(bi.LTy), c.tyKind(bi.RTy)
-			if c.intBin(in.D) && a == rkInt && b == rkInt {
-				in.Op = OpLoadLocal2BinI
-			} else if pb, ok := c.ptrBin(in.D); ok && a == rkPtr && b == rkInt {
-				fused := c.fc.Bins[pb]
-				fused.LTy, fused.RTy = bi.LTy, bi.RTy
-				in.Op, in.D = OpLoadLocal2PtrAdd, c.binI(fused)
-			}
-			rk[in.A] = c.binKind(in.D, a, b)
-		case OpStepLoadLocalBinConst:
-			a := c.tyKind(c.fc.Bins[in.C].LTy)
-			if c.intBin(in.C) && a == rkInt {
-				in.Op = OpStepLoadLocalBinConstI
-			}
-			rk[in.A] = c.binKind(in.C, a, rkInt)
-		case OpUn:
-			rk[in.A] = c.unKind(in.C, rk[in.B])
-		case OpJumpFalse:
-			if rk[in.B].intLike() {
-				in.Op = OpJumpFalseI
-			}
-		case OpJumpTrue:
-			if rk[in.B].intLike() {
-				in.Op = OpJumpTrueI
-			}
-		case OpJumpFalseStep:
-			if rk[in.B].intLike() {
-				in.Op = OpJumpFalseStepI
-			}
-		case OpCallFn, OpCallNamed, OpCallPtr:
-			if in.A >= 0 {
-				rk[in.A] = rkAny
-			}
+	case OpLoadGlobal:
+		rk[in.A] = c.tyKind(in.C)
+	case OpLoadLocal:
+		if rk[in.A] = c.tyKind(in.C); rk[in.A] == rkInt {
+			in.Op = OpLoadLocalI
+		}
+	case OpStoreLocal:
+		if c.tyKind(in.C) == rkInt && rk[in.B].intLike() {
+			in.Op = OpStoreLocalI
+		}
+	case OpConvert:
+		from := rk[in.B]
+		if from.intLike() && c.fc.Convs[in.C].To.IsInteger() {
+			in.Op = OpConvertI
+		}
+		rk[in.A] = c.convKind(in.C, from)
+	case OpBin:
+		a, b := rk[in.B], rk[in.C]
+		k := c.binKind(in.D, a, b)
+		if c.intBin(in.D) && a == rkInt && b == rkInt {
+			in.Op = OpBinI
+		} else if pb, ok := c.ptrBin(in.D); ok && a == rkPtr && b.intLike() && in.A == in.B {
+			in.Op, in.D = OpPtrAdd, pb
+		}
+		rk[in.A] = k
+	case OpUn:
+		c.srcK, rk[in.A] = rk[in.B], c.unKind(in.C, rk[in.B])
+	case OpJumpFalse:
+		if rk[in.B].intLike() {
+			in.Op = OpJumpFalseI
+		}
+	case OpCallFn, OpCallNamed, OpCallPtr:
+		if in.A >= 0 {
+			rk[in.A] = rkAny
 		}
 	}
 }

@@ -67,12 +67,7 @@ const (
 	OpJump      // pc = A
 	OpJumpFalse // if !truthy(reg B): pc = A
 	OpJumpEq    // if reg B as int == Consts[C]: pc = A (switch dispatch)
-	// Fused binop-and-branch: an If condition whose value is produced by
-	// the immediately preceding OpBin/OpBinConst and then dies folds into
-	// one opcode (the register write was unobservable).
-	OpJumpBinFalse      // if !truthy(binop(reg B, reg C, Bins[D])): pc = A
-	OpJumpBinConstFalse // if !truthy(binop(reg B, Consts[C], Bins[D])): pc = A
-	OpReturn            // return reg A (-1: return zero value)
+	OpReturn    // return reg A (-1: return zero value)
 
 	// Constants.
 	OpConstInt   // reg A = Consts[B]
@@ -85,7 +80,7 @@ const (
 	// The compiler folds chains of fields and constant array indices at
 	// compile time, so a static lvalue like s.a[3].f is one instruction.
 	// An index step that does not fold keeps the home area, exactly like
-	// pointer arithmetic: it compiles to an OpBin/OpBinConst OpAddPI.
+	// pointer arithmetic: it compiles to an OpAddPI OpBin.
 	OpAddrLocal  // reg A = frame base + B; home = [base+C, base+C+D)
 	OpAddrGlobal // reg A = globals[B]; home = [addr, addr+C)
 	OpAddrMem    // reg A = deref reg B; home = ptr bounds or [addr, addr+C)
@@ -102,10 +97,9 @@ const (
 	OpAggCopy     // memcpy(reg A, reg B, C bytes)
 
 	// Values.
-	OpConvert  // reg A = convert(reg B, Convs[C])
-	OpBin      // reg A = binop(reg B, reg C, Bins[D])
-	OpBinConst // reg A = binop(reg B, int Consts[C], Bins[D]) (folded RHS)
-	OpUn       // reg A = unop(reg B, Uns[C])
+	OpConvert // reg A = convert(reg B, Convs[C])
+	OpBin     // reg A = binop(reg B, reg C, Bins[D])
+	OpUn      // reg A = unop(reg B, Uns[C])
 
 	// Calls. Arguments sit in consecutive registers (Calls[idx].ArgBase).
 	OpCallFn    // reg A = call Calls[C] (direct, defined function)
@@ -124,37 +118,30 @@ const (
 	// exactly its two constituents executed in sequence — a fusion is only
 	// legal when no jump target falls between the pair, which the compiler
 	// guarantees by tracking the highest label it has handed out.
-	OpJumpTrue          // if truthy(reg B): pc = A (an If condition "!x")
-	OpJumpBack          // loop tail: back-edge charge, then pc = A (past the head's OpBackEdge)
-	OpLoadConv          // reg A = convert(load(reg B, Types[C]), Convs[D])
-	OpStepLoadLocal     // step (pos D), then reg A = load(base+B, Types[C])
-	OpStoreLocalStep    // store(base+A, Types[C], reg B), then step (pos D)
-	OpConvStoreLocal    // store(base+A, Types[D], convert(reg B, Convs[C]))
-	OpJumpFalseStep     // if !truthy(reg B): pc = A; else step (pos C)
-	OpLoadLocalBin      // reg A = binop(reg A, load(base+B, Types[C]), Bins[D])
-	OpLoadLocalBinConst // reg A = binop(load(base+B, Types[C]), Bins[D].CI, Bins[D])
-	OpBinAddrMem        // reg A = deref binop(reg B, reg C, Bins[D]); size Bins[D].MemSize
-	OpBinCheck          // verdict of Checks[A] on binop(reg B, reg C, Bins[D])
-	OpCheckStep         // verdict of Checks[C] on reg B, then step (pos D)
-	OpStepCheckBegin    // step (pos D), then count/record Checks[C] in flight
-	// Triple fusions (local op local, and statement-initial local op const):
-	// the folded loads' type indices ride in the BinInfo (LTy/RTy).
-	OpLoadLocal2Bin         // reg A = binop(load(base+B), load(base+C), Bins[D])
-	OpStepLoadLocalBinConst // step (pos D), reg A = binop(load(base+B), Bins[C].CI, Bins[C])
+	OpJumpTrue       // if truthy(reg B): pc = A (an If condition "!x")
+	OpJumpBack       // loop tail: back-edge charge, then pc = A (past the head's OpBackEdge)
+	OpLoadConv       // reg A = convert(load(reg B, Types[C]), Convs[D])
+	OpStepLoadLocal  // step (pos D), then reg A = load(base+B, Types[C])
+	OpStoreLocalStep // store(base+A, Types[C], reg B), then step (pos D)
+	OpConvStoreLocal // store(base+A, Types[D], convert(reg B, Convs[C]))
+	OpBinAddrMem     // reg A = deref binop(reg B, reg C, Bins[D]); size Bins[D].MemSize
+	OpBinCheck       // verdict of Checks[A] on binop(reg B, reg C, Bins[D])
+	OpCheckStep      // verdict of Checks[C] on reg B, then step (pos D)
+	OpStepCheckBegin // step (pos D), then count/record Checks[C] in flight
 	// Field access through a pointer (p->f), the field offset folded in.
 	OpLoadField  // reg A = load(reg B + C, Types[D])
 	OpStoreField // store(reg A + D, Types[C], reg B)
 
-	// Integer and pointer forms. The compiler's specialization pass
-	// rewrites an opcode above into one of these when it proves the kinds
-	// the generic form would switch on: "integer" operands are VInt
-	// registers or int loads, "int-like" ones VInt or VPtr registers (both
-	// keep their AsInt value in the data bank), "pointer" ones VPtr
-	// registers. Integer forms read and write only the data bank; an
-	// integer binop runs Bins[...].IOp. Operands are those of the generic
-	// form unless stated. An OpConvStoreLocal whose integer conversion
-	// targets the slot's own width cannot change the stored bytes, so it
-	// becomes an OpStoreLocalI.
+	// Integer and pointer forms. The compiler emits one of these in place
+	// of the opcode it names when the proven register kinds or the static
+	// types make the generic form's kind switch dead: "integer" operands
+	// are VInt registers or int loads, "int-like" ones VInt or VPtr
+	// registers (both keep their AsInt value in the data bank), "pointer"
+	// ones VPtr registers. Integer forms read and write only the data bank;
+	// an integer binop runs Bins[...].IOp. Operands are those of the named
+	// opcode unless stated. The fused integer and pointer forms have no
+	// generic twin: an operand whose kind is not proven runs the unfused
+	// sequence instead.
 	OpLoadLocalI             // OpLoadLocal of an int
 	OpStepLoadLocalI         // OpStepLoadLocal of an int
 	OpStoreLocalI            // OpStoreLocal of an int from an int-like reg B
@@ -162,23 +149,23 @@ const (
 	OpConvertI               // OpConvert to an int type from an int-like reg B
 	OpLoadConvI              // OpLoadConv of an int load to an int type
 	OpBinI                   // OpBin, integer operands
-	OpBinConstI              // OpBinConst, integer operand
-	OpJumpBinFalseI          // OpJumpBinFalse, integer operands
-	OpJumpBinConstFalseI     // OpJumpBinConstFalse, integer operand
-	OpLoadLocalBinI          // OpLoadLocalBin, integer reg A and int load
-	OpLoadLocalBinConstI     // OpLoadLocalBinConst of an int load
-	OpLoadLocal2BinI         // OpLoadLocal2Bin of two int loads
-	OpStepLoadLocalBinConstI // OpStepLoadLocalBinConst of an int load
+	OpBinConstI              // reg A = binop(integer reg B, Consts[C], Bins[D])
+	OpJumpBinFalseI          // if binop(reg B, reg C, Bins[D]) == 0: pc = A; integer operands
+	OpJumpBinConstFalseI     // if binop(reg B, Consts[C], Bins[D]) == 0: pc = A; integer reg B
+	OpLoadLocalBinI          // reg A = binop(integer reg A, int load(base+B, Types[C]), Bins[D])
+	OpLoadLocalBinConstI     // reg A = binop(int load(base+B, Types[C]), Bins[D].CI, Bins[D])
+	OpLoadLocal2BinI         // reg A = binop(int load(base+B), int load(base+C), Bins[D])
+	OpStepLoadLocalBinConstI // step (pos D), reg A = binop(int load(base+B), Bins[C].CI, Bins[C])
 	OpJumpFalseI             // OpJumpFalse on an int-like reg B
 	OpJumpTrueI              // OpJumpTrue on an int-like reg B
-	OpJumpFalseStepI         // OpJumpFalseStep on an int-like reg B
+	OpJumpFalseStepI         // if reg B == 0: pc = A; else step (pos C); int-like reg B
 	OpPtrAdd                 // pointer reg A (== B) += (int-like reg C)*Bins[D].Esz
 	OpPtrAddConst            // pointer reg A (== B) += Consts[C] bytes
 	OpLoadLocalPtrAdd        // pointer reg A += load(base+B, int Types[C])*Bins[D].Esz
 	OpLoadI                  // OpLoad of an int through pointer reg B
 	OpStoreI                 // OpStore of an int-like reg B through pointer reg A
-	OpLoadLocal2PtrAdd       // OpLoadLocal2Bin: pointer load + int load * Bins[D].Esz
-	OpLoadLocalPtrAddConst   // OpLoadLocalBinConst: pointer load + Bins[D].CI * Bins[D].Esz
+	OpLoadLocal2PtrAdd       // reg A = pointer load(base+B) + int load(base+C)*Bins[D].Esz
+	OpLoadLocalPtrAddConst   // reg A = pointer load(base+B, Types[C]) + Consts[D] bytes
 	OpLoadFieldI             // OpLoadField of an int through pointer reg B
 	OpStoreFieldI            // OpStoreField of an int-like reg B through pointer reg A
 
@@ -215,19 +202,17 @@ const (
 )
 
 var opNames = [...]string{
-	"nop", "step", "backedge", "jump", "jumpfalse", "jumpeq",
-	"jumpbinfalse", "jumpbinconstfalse", "return",
+	"nop", "step", "backedge", "jump", "jumpfalse", "jumpeq", "return",
 	"const", "fconst", "str", "fnaddr",
 	"addrlocal", "addrglobal", "addrmem", "fieldoff", "addrof",
 	"load", "store", "loadlocal", "storelocal", "loadglobal", "storeglobal", "aggcopy",
-	"convert", "bin", "binconst", "un",
+	"convert", "bin", "un",
 	"call", "callnamed", "callptr",
 	"checkbegin", "check", "stacktest", "stackverify",
 	"jumptrue", "jumpback", "loadconv",
 	"steploadlocal", "storelocalstep", "convstorelocal",
-	"jumpfalsestep", "loadlocalbin", "loadlocalbinconst", "binaddrmem",
-	"bincheck", "checkstep", "stepcheckbegin",
-	"loadlocal2bin", "steploadlocalbinconst", "loadfield", "storefield",
+	"binaddrmem", "bincheck", "checkstep", "stepcheckbegin",
+	"loadfield", "storefield",
 	"loadlocal.i", "steploadlocal.i", "storelocal.i", "storelocalstep.i",
 	"convert.i", "loadconv.i",
 	"bin.i", "binconst.i", "jumpbinfalse.i", "jumpbinconstfalse.i",
@@ -315,11 +300,12 @@ type BinInfo struct {
 	TySigned bool
 	OpSigned bool
 	F32      bool
-	// CI is the folded constant RHS of OpLoadLocalBinConst and
-	// OpStepLoadLocalBinConst; MemSize the dereference size of
+	// CI is the folded constant RHS of OpLoadLocalBinConstI and
+	// OpStepLoadLocalBinConstI; MemSize the dereference size of
 	// OpBinAddrMem; LTy/RTy the Types indices of the operand loads folded
-	// into OpLoadLocal2Bin and OpStepLoadLocalBinConst. Zero (and unused)
-	// elsewhere — variants are interned as distinct BinInfos.
+	// into OpLoadLocal2BinI, OpLoadLocal2PtrAdd and
+	// OpStepLoadLocalBinConstI. Zero (and unused) elsewhere — variants are
+	// interned as distinct BinInfos.
 	CI       int64
 	MemSize  int32
 	LTy, RTy int32
