@@ -402,9 +402,6 @@ func (g *gen) issue(ctx context.Context, class string) (float64, *cureReply, ech
 	if err := json.Unmarshal(data, &reply); err != nil {
 		return ms, nil, echo, fmt.Errorf("%s: bad reply: %w", class, err)
 	}
-	if reply.TraceID == "" {
-		reply.TraceID = resp.Header.Get("X-Trace-Id")
-	}
 	if reply.TraceID != tid {
 		echo.Mismatch = true
 	}

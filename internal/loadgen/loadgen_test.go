@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +18,7 @@ import (
 
 // stubServer mimics just enough of ccserve's surface for the generator:
 // /cure (classifying hit vs miss by request name), /readyz, /metrics,
-// /traces/{id}, and an /events SSE stream with a deliberate seq gap.
+// and /traces/{id}.
 func stubServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var cures atomic.Int64
@@ -39,7 +38,7 @@ func stubServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
 		// Adopt inbound W3C trace context like the real server does.
 		id, ok := trace.ParseTraceparent(r.Header.Get("Traceparent"))
 		if !ok {
-			id = trace.NewID()
+			id = trace.NewW3CTraceID()
 		}
 		tier := "compile"
 		if hit {
@@ -48,7 +47,6 @@ func stubServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
 		if !hit {
 			time.Sleep(2 * time.Millisecond) // misses are the slow path
 		}
-		w.Header().Set("X-Trace-Id", id)
 		w.Header().Set("Traceparent", trace.Traceparent(id))
 		json.NewEncoder(w).Encode(map[string]any{
 			"trace_id": id, "cache_hit": hit, "tier": tier,
@@ -74,16 +72,6 @@ func stubServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
 			{Name: "instrument", StartMS: 5.5, DurMS: 1, Depth: 2},
 		}
 		flight.WriteSpanTrace(w, "trace "+id, spans, map[string]any{"trace_id": id})
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/event-stream")
-		fl := w.(http.Flusher)
-		// Seqs 1, 2, 5: one gap hiding two dropped events.
-		for _, seq := range []int{1, 2, 5} {
-			fmt.Fprintf(w, "event: job_done\ndata: {\"seq\":%d}\n\n", seq)
-		}
-		fl.Flush()
-		<-r.Context().Done()
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -142,7 +130,7 @@ func TestRunClosedLoop(t *testing.T) {
 func TestTraceparentEchoMismatch(t *testing.T) {
 	cases := map[string]func(w http.ResponseWriter, id string){
 		"foreign-id": func(w http.ResponseWriter, id string) {
-			w.Header().Set("Traceparent", trace.Traceparent(trace.NewID()))
+			w.Header().Set("Traceparent", trace.Traceparent(trace.NewW3CTraceID()))
 		},
 		"no-echo": func(w http.ResponseWriter, id string) {},
 	}
@@ -150,7 +138,7 @@ func TestTraceparentEchoMismatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mux := http.NewServeMux()
 			mux.HandleFunc("/cure", func(w http.ResponseWriter, r *http.Request) {
-				id := trace.NewID()
+				id := trace.NewW3CTraceID()
 				mangle(w, id)
 				json.NewEncoder(w).Encode(map[string]any{
 					"trace_id": id, "cache_hit": true, "tier": "memory",
@@ -249,7 +237,7 @@ func TestWaitReadyTimeout(t *testing.T) {
 
 func TestCheckTrace(t *testing.T) {
 	srv, _ := stubServer(t)
-	id := trace.NewID()
+	id := trace.NewW3CTraceID()
 	tc := CheckTrace(context.Background(), nil, srv.URL, id, RequiredCompileSpans)
 	if !tc.OK {
 		t.Fatalf("trace check failed: %+v", tc)
@@ -289,34 +277,9 @@ func TestCheckTraceIDMismatch(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	tc := CheckTrace(context.Background(), nil, srv.URL, trace.NewID(), nil)
+	tc := CheckTrace(context.Background(), nil, srv.URL, trace.NewW3CTraceID(), nil)
 	if tc.OK || !strings.Contains(tc.Err, "mismatch") {
 		t.Fatalf("want trace_id mismatch, got %+v", tc)
-	}
-}
-
-func TestWatchEventsCountsSeqGaps(t *testing.T) {
-	srv, _ := stubServer(t)
-	w := WatchEvents(context.Background(), nil, srv.URL)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		w.mu.Lock()
-		seen := w.stats.Seen
-		w.mu.Unlock()
-		if seen >= 3 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := w.Stop()
-	if st.Seen != 3 {
-		t.Fatalf("seen = %d, want 3 (%+v)", st.Seen, st)
-	}
-	if st.SeqGaps != 1 || st.Dropped != 2 {
-		t.Fatalf("gaps/dropped = %d/%d, want 1/2", st.SeqGaps, st.Dropped)
-	}
-	if st.Err != "" {
-		t.Fatalf("unexpected watcher error: %s", st.Err)
 	}
 }
 

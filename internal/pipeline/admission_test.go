@@ -370,7 +370,7 @@ func TestCoalescingRace(t *testing.T) {
 	jobs := make([]Job, n)
 	for i := range jobs {
 		jobs[i] = Job{Name: "same.c", Source: tinyOK, Run: true, Mode: gocured.ModeCured,
-			TraceID: trace.NewID()}
+			TraceID: trace.NewW3CTraceID()}
 	}
 	resCh := make(chan []*JobResult, 1)
 	go func() { resCh <- BurstDo(context.Background(), r, jobs) }()

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"expvar"
 	"maps"
 	"sort"
 	"sync"
@@ -28,7 +27,7 @@ type PhaseHist struct {
 }
 
 // Metrics is a point-in-time snapshot of a Runner's counters. It marshals
-// directly to JSON (ccserve's GET /metrics and the expvar export).
+// directly to JSON (ccserve's GET /metrics).
 type Metrics struct {
 	Build BuildInfo `json:"build"`
 
@@ -275,11 +274,4 @@ func (m *metrics) snapshot(workers int, cache CacheStats) Metrics {
 		out.Phases = append(out.Phases, PhaseHist{Phase: name, Hist: hists[i].Snapshot()})
 	}
 	return out
-}
-
-// ExpvarVar adapts the Runner's metrics to the expvar interface; publish it
-// with expvar.Publish (ccserve does, under "gocured_pipeline") and it shows
-// up on /debug/vars alongside the Go runtime's variables.
-func (r *Runner) ExpvarVar() expvar.Var {
-	return expvar.Func(func() any { return r.Metrics() })
 }

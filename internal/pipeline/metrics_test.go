@@ -1,12 +1,15 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gocured"
 )
 
 func TestHistogramMeanMSZeroCount(t *testing.T) {
@@ -406,5 +409,21 @@ func TestExpositionFamilyOrder(t *testing.T) {
 				t.Errorf("%s: family order not strictly ascending: %q then %q", dialect, fams[i-1], fams[i])
 			}
 		}
+	}
+}
+
+func TestMetricsBuildInfo(t *testing.T) {
+	r := NewRunner(RunnerOptions{Workers: 1})
+	m := r.Metrics()
+	if m.Build.Version != gocured.Version {
+		t.Errorf("build version %q, want %q", m.Build.Version, gocured.Version)
+	}
+	if m.Build.GoVersion == "" || m.Build.Optimizer != "on" {
+		t.Errorf("build info incomplete: %+v", m.Build)
+	}
+	var buf bytes.Buffer
+	WritePrometheus(&buf, m)
+	if !bytes.Contains(buf.Bytes(), []byte(`gocured_build_info{version="`+gocured.Version+`"`)) {
+		t.Errorf("prometheus output missing gocured_build_info:\n%s", buf.String()[:200])
 	}
 }

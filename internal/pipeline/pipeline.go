@@ -13,8 +13,8 @@
 //
 //   - Metrics: a snapshot of jobs run, cache effectiveness, compile/run
 //     wall-time histograms, and traps observed, exported programmatically
-//     (Runner.Metrics) and as an expvar/JSON endpoint (Runner.ExpvarVar,
-//     served by cmd/ccserve).
+//     (Runner.Metrics) and rendered by cmd/ccserve as JSON (GET /metrics)
+//     and Prometheus text (GET /metrics/prometheus).
 //
 // The experiments suite (internal/experiments, cmd/ccbench) dispatches its
 // per-program work through a Runner, and cmd/ccserve exposes the Runner

@@ -68,10 +68,10 @@ type Job struct {
 	Source  string
 	Options gocured.Options
 
-	// TraceID is the request-scoped trace ID propagated through the job's
-	// spans, bus events, error text, and the trace buffer. Empty means the
-	// Runner assigns a fresh one (callers with an inbound ID — ccserve
-	// honoring a client-supplied X-Trace-Id — set it).
+	// TraceID is the request-scoped trace ID, a 32-hex W3C trace-id,
+	// propagated through the job's spans, error text, and the trace buffer.
+	// Empty means the Runner mints a fresh one (ccserve sets it from an
+	// inbound traceparent header).
 	TraceID string
 
 	// ClientID keys per-client fair queueing: under contention, admission
@@ -120,7 +120,8 @@ type JobResult struct {
 	// CacheHit reports that compilation was served without compiling
 	// (memory or in-flight coalescing); Tier names the exact cache tier
 	// that served it: "memory", "inflight", "disk" (compiled with stored
-	// summaries replayed), or "compile" (from scratch).
+	// summaries replayed), "compile" (from scratch), or "coalesced" (the
+	// job shared an identical in-flight job's execution).
 	CacheHit bool
 	Tier     string
 	// Incr reports the inference composition of the compile: functions
@@ -160,7 +161,6 @@ type Runner struct {
 	adm    *admitter
 	cache  *Cache
 	m      *metrics
-	bus    *Bus
 	traces *trace.Buffer
 
 	// flights holds the job calls shareable under a coalesceKey (only
@@ -177,7 +177,6 @@ func NewRunner(opts RunnerOptions) *Runner {
 	r := &Runner{
 		opts:    opts,
 		m:       newMetrics(),
-		bus:     NewBus(),
 		flights: make(map[string]*call[*JobResult]),
 	}
 	r.adm = newAdmitter(opts.Workers, opts.QueueDepth, r.m)
@@ -196,10 +195,6 @@ func NewRunner(opts RunnerOptions) *Runner {
 
 // Workers returns the worker-pool size.
 func (r *Runner) Workers() int { return r.opts.Workers }
-
-// Events returns the Runner's live event bus. Subscribe to tail job
-// start/done/trap events (ccserve's GET /events streams them as SSE).
-func (r *Runner) Events() *Bus { return r.bus }
 
 // Traces returns the Runner's bounded request-trace buffer (nil when
 // disabled via RunnerOptions.TraceBufferEntries < 0).
@@ -251,7 +246,7 @@ func (r *Runner) Metrics() Metrics {
 // registered under a shareable key, so there is one job path either way.
 func (r *Runner) Do(ctx context.Context, job Job) *JobResult {
 	if job.TraceID == "" {
-		job.TraceID = trace.NewID()
+		job.TraceID = trace.NewW3CTraceID()
 	}
 	job.cacheKey()
 	var key string
@@ -451,16 +446,7 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 	r.opts.Faults.beforeExec(job)
 	defer r.opts.Faults.afterExec(job)
 
-	r.bus.Publish(JobEvent{Type: "job_start", Name: job.Name, Mode: job.Mode.String(), TraceID: job.TraceID})
 	start := time.Now()
-	defer func() {
-		ev := JobEvent{Type: "job_done", Name: job.Name, Mode: job.Mode.String(), TraceID: job.TraceID,
-			CacheHit: res.CacheHit, DurMS: ms(time.Since(start))}
-		if res.Err != nil {
-			ev.Err = res.Err.Error()
-		}
-		r.bus.Publish(ev)
-	}()
 
 	compiled, lk, err := r.compile(job)
 	fresh := compiled
@@ -496,10 +482,6 @@ func (r *Runner) execute(job Job, enq time.Time, wait time.Duration) (res *JobRe
 		return res
 	}
 	res.Run = out
-	if out.Trapped {
-		r.bus.Publish(JobEvent{Type: "trap", Name: job.Name, Mode: job.Mode.String(), TraceID: job.TraceID,
-			TrapKind: out.TrapKind, TrapPos: out.TrapPos})
-	}
 	return res
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"container/list"
 	"sync"
 	"time"
 )
@@ -23,7 +24,7 @@ type ReqTrace struct {
 }
 
 // BufferStats counts a Buffer's traffic. Evicted is normal operation (the
-// buffer is a bounded ring over a busy service); Dropped counts traces the
+// buffer is bounded over a busy service); Dropped counts traces the
 // buffer refused — malformed entries that could never be queried (no ID,
 // no spans) — and is expected to stay zero: the load-harness CI gate
 // asserts it.
@@ -40,15 +41,14 @@ type BufferStats struct {
 // the last ~1024 requests in a couple of MB.
 const DefaultBufferEntries = 1024
 
-// Buffer is a bounded in-memory ring of finished request traces,
-// queryable by trace ID. When full, adding evicts the oldest trace. It is
-// safe for concurrent use.
+// Buffer is a bounded in-memory store of finished request traces,
+// queryable by trace ID and ordered by when each was last added. When
+// full, adding evicts the oldest trace. It is safe for concurrent use.
 type Buffer struct {
 	mu      sync.Mutex
 	cap     int
-	ring    []ReqTrace // ring[head] is the oldest live entry
-	head    int
-	byID    map[string]int // trace ID -> ring index
+	order   *list.List               // of ReqTrace, oldest at the front
+	byID    map[string]*list.Element // trace ID -> its element in order
 	added   uint64
 	evicted uint64
 	dropped uint64
@@ -60,14 +60,14 @@ func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = DefaultBufferEntries
 	}
-	return &Buffer{cap: capacity, byID: make(map[string]int, capacity)}
+	return &Buffer{cap: capacity, order: list.New(), byID: make(map[string]*list.Element, capacity)}
 }
 
-// Add stores a finished trace, evicting the oldest when full. A trace
-// with no ID or no spans is counted as dropped — it could never be
-// queried, so storing it would only mask the bug that produced it. A
-// duplicate ID replaces the previous trace in place (a client retrying
-// with its own trace ID sees the latest attempt).
+// Add stores a finished trace as the newest entry, evicting the oldest
+// when full. A trace with no ID or no spans is counted as dropped — it
+// could never be queried, so storing it would only mask the bug that
+// produced it. A repeated ID (requests of one upstream trace share its
+// trace-id) replaces the previous trace and becomes the newest entry.
 func (b *Buffer) Add(t ReqTrace) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -75,33 +75,26 @@ func (b *Buffer) Add(t ReqTrace) {
 		b.dropped++
 		return
 	}
-	if i, ok := b.byID[t.ID]; ok {
-		b.ring[i] = t
-		b.added++
-		return
-	}
-	if len(b.ring) < b.cap {
-		b.byID[t.ID] = len(b.ring)
-		b.ring = append(b.ring, t)
-		b.added++
-		return
-	}
-	// Full: overwrite the oldest slot.
-	old := b.ring[b.head]
-	delete(b.byID, old.ID)
-	b.ring[b.head] = t
-	b.byID[t.ID] = b.head
-	b.head = (b.head + 1) % b.cap
 	b.added++
-	b.evicted++
+	if e, ok := b.byID[t.ID]; ok {
+		e.Value = t
+		b.order.MoveToBack(e)
+		return
+	}
+	b.byID[t.ID] = b.order.PushBack(t)
+	if b.order.Len() > b.cap {
+		old := b.order.Remove(b.order.Front()).(ReqTrace)
+		delete(b.byID, old.ID)
+		b.evicted++
+	}
 }
 
 // Get returns the trace with the given ID.
 func (b *Buffer) Get(id string) (ReqTrace, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if i, ok := b.byID[id]; ok {
-		return b.ring[i], true
+	if e, ok := b.byID[id]; ok {
+		return e.Value.(ReqTrace), true
 	}
 	return ReqTrace{}, false
 }
@@ -110,21 +103,12 @@ func (b *Buffer) Get(id string) (ReqTrace, bool) {
 func (b *Buffer) Recent(n int) []ReqTrace {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	live := len(b.ring)
-	if n <= 0 || n > live {
-		n = live
+	if n <= 0 || n > b.order.Len() {
+		n = b.order.Len()
 	}
 	out := make([]ReqTrace, 0, n)
-	// Newest entry is the one just before head once the ring has wrapped;
-	// before wrapping it is the last appended element.
-	for i := 0; i < n; i++ {
-		var idx int
-		if live < b.cap {
-			idx = live - 1 - i
-		} else {
-			idx = ((b.head-1-i)%b.cap + b.cap) % b.cap
-		}
-		out = append(out, b.ring[idx])
+	for e := b.order.Back(); len(out) < n; e = e.Prev() {
+		out = append(out, e.Value.(ReqTrace))
 	}
 	return out
 }
@@ -135,6 +119,6 @@ func (b *Buffer) Stats() BufferStats {
 	defer b.mu.Unlock()
 	return BufferStats{
 		Added: b.added, Evicted: b.evicted, Dropped: b.dropped,
-		Live: len(b.ring), Cap: b.cap,
+		Live: b.order.Len(), Cap: b.cap,
 	}
 }

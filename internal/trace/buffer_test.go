@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -13,16 +14,19 @@ func rt(id string) ReqTrace {
 func TestNewIDShape(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
-		id := NewID()
-		if !ValidID(id) {
-			t.Fatalf("NewID() = %q, not a 16-hex ID", id)
+		id := newParentID()
+		if len(id) != 16 || !isLowerHex(id) || id == zeroParentID {
+			t.Fatalf("newParentID() = %q, not a non-zero 16-hex parent-id", id)
+		}
+		if ValidID(id) {
+			t.Fatalf("ValidID accepts the parent-id %q as a trace ID", id)
 		}
 		if seen[id] {
-			t.Fatalf("NewID() repeated %q", id)
+			t.Fatalf("newParentID() repeated %q", id)
 		}
 		seen[id] = true
 	}
-	for _, bad := range []string{"", "short", "0123456789abcdeF", "0123456789abcdefg", "xxxxxxxxxxxxxxxx"} {
+	for _, bad := range []string{"", "short", "0123456789abcdef0123456789abcdeF", "0123456789abcdef0123456789abcdefg", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"} {
 		if ValidID(bad) {
 			t.Errorf("ValidID(%q) = true", bad)
 		}
@@ -87,6 +91,38 @@ func TestBufferDuplicateIDReplaces(t *testing.T) {
 		t.Errorf("Get = %+v, %v; want replaced trace", got, ok)
 	}
 	if st := b.Stats(); st.Live != 1 || st.Evicted != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestBufferReaddedIDBecomesNewest adds a, b, c, a at capacity 3: the
+// re-added a is the newest entry, so adding d evicts b, not the fresh a.
+func TestBufferReaddedIDBecomesNewest(t *testing.T) {
+	b := NewBuffer(3)
+	for _, id := range []string{"a", "b", "c", "a"} {
+		b.Add(rt(id))
+	}
+	ids := func() string {
+		var out []string
+		for _, t := range b.Recent(0) {
+			out = append(out, t.ID)
+		}
+		return strings.Join(out, ",")
+	}
+	if got := ids(); got != "a,c,b" {
+		t.Fatalf("Recent after a,b,c,a = %s, want a,c,b", got)
+	}
+	b.Add(rt("d"))
+	if got := ids(); got != "d,a,c" {
+		t.Fatalf("Recent after adding d = %s, want d,a,c", got)
+	}
+	if _, ok := b.Get("a"); !ok {
+		t.Error("the re-added a was evicted")
+	}
+	if _, ok := b.Get("b"); ok {
+		t.Error("b, the oldest entry, survived eviction")
+	}
+	if st := b.Stats(); st.Added != 5 || st.Evicted != 1 || st.Live != 3 {
 		t.Errorf("stats = %+v", st)
 	}
 }

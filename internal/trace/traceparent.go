@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"crypto/rand"
-	"encoding/hex"
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // W3C trace-context (https://www.w3.org/TR/trace-context/) support: ccserve
 // accepts an inbound `traceparent` request header, adopts its 128-bit
@@ -21,22 +16,6 @@ import (
 // Per spec, a malformed traceparent is not an error: the receiver discards
 // it, starts a fresh trace, and (here) counts the discard so operators can
 // see a misbehaving upstream.
-
-// NewW3CTraceID returns a fresh 32-lowercase-hex (128-bit) W3C trace-id.
-// It is never all-zero (the spec's invalid value).
-func NewW3CTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Same degraded path as NewID: a counter beats a mid-request panic.
-		return fmt.Sprintf("%032x", idSeq.Add(1))
-	}
-	id := hex.EncodeToString(b[:])
-	if id == zeroTraceID {
-		b[15] = 1
-		id = hex.EncodeToString(b[:])
-	}
-	return id
-}
 
 const (
 	zeroTraceID  = "00000000000000000000000000000000"
@@ -75,16 +54,12 @@ func ParseTraceparent(h string) (traceID string, ok bool) {
 }
 
 // Traceparent renders a version-00 traceparent header carrying traceID,
-// with a freshly minted parent-id and the sampled flag set. A 16-hex
-// internal ID (server-minted NewID) is left-padded with zeros to the W3C
-// 128-bit width; a 32-hex ID (adopted from an inbound traceparent) is
-// carried verbatim, so the upstream that minted it can correlate the echo.
+// with a freshly minted parent-id and the sampled flag set. The trace-id is
+// carried verbatim, so the upstream that minted it can correlate the echo;
+// anything that is not a valid non-zero trace ID degrades to a fresh one.
 func Traceparent(traceID string) string {
-	if len(traceID) == 16 {
-		traceID = zeroParentID + traceID
-	}
-	if !ValidID(traceID) || len(traceID) != 32 || traceID == zeroTraceID {
+	if !ValidID(traceID) || traceID == zeroTraceID {
 		traceID = NewW3CTraceID()
 	}
-	return "00-" + traceID + "-" + NewID() + "-01"
+	return "00-" + traceID + "-" + newParentID() + "-01"
 }
