@@ -14,7 +14,7 @@
 //	                          (OpenMetrics with exemplars when the Accept
 //	                          header asks for application/openmetrics-text)
 //	GET  /traces              recent request traces (summaries, newest first)
-//	GET  /traces/{id}         one request trace as Chrome trace-event JSON
+//	GET  /traces/{id}         one trace (every retained request of it) as Chrome trace-event JSON
 //	GET  /healthz             liveness (process is up)
 //	GET  /readyz              readiness (corpus loaded, store opened, pool started)
 //	GET  /corpus              list the built-in corpus programs
@@ -28,7 +28,9 @@
 // cache tier, and a trap summary, or the shed reason or error. A request's
 // trace ID is a 32-hex W3C trace-id: adopted from an inbound traceparent
 // header (the only inbound channel) or minted by the server, and echoed in
-// the reply's trace_id field and Traceparent header on every outcome.
+// the reply's trace_id field and Traceparent header on every outcome. The
+// startup, artifact-store and shutdown lines are slog JSON records too, so
+// every line on stderr parses as JSON.
 //
 // The pipeline runs behind admission control: at most -queue-depth jobs
 // wait for worker slots, fair-queued per client (the -client-header value,
@@ -49,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -579,9 +580,9 @@ func (s *server) handleTracesList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleTraceGet renders one request trace as Chrome trace-event JSON
-// (load it in Perfetto or chrome://tracing). The trace ID rides in the
-// root span's args.
+// handleTraceGet renders one trace as Chrome trace-event JSON (load it in
+// Perfetto or chrome://tracing): one track per retained request that
+// carried the trace ID, each with the trace ID in its root span's args.
 func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	buf := s.runner.Traces()
 	if buf == nil {
@@ -593,18 +594,14 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "trace ID must be 32 lowercase hex digits, got %q", id)
 		return
 	}
-	t, ok := buf.Get(id)
+	reqs, ok := buf.Get(id)
 	if !ok {
 		writeError(w, r, http.StatusNotFound, "no trace %q (buffer holds the most recent %d requests)",
 			id, buf.Stats().Cap)
 		return
 	}
-	args := map[string]any{"trace_id": t.ID, "name": t.Name, "start": t.Start.Format(time.RFC3339Nano)}
-	if t.Err != "" {
-		args["err"] = t.Err
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := flight.WriteSpanTrace(w, "req "+t.Name, t.Spans, args); err != nil {
+	if err := flight.WriteRequestTrace(w, reqs); err != nil {
 		annotate(r, "trace_id", id, "err", err.Error())
 	}
 }
@@ -654,22 +651,45 @@ func (s *server) handleCorpusGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	jobs := flag.Int("j", runtime.NumCPU(), "concurrent curing/execution jobs")
-	cacheEntries := flag.Int("cache", pipeline.DefaultCacheEntries, "compile cache entries (negative disables)")
-	stepLimit := flag.Uint64("step-limit", 200_000_000, "default interpreter step limit per run")
-	jobTimeout := flag.Duration("timeout", 60*time.Second, "wall-clock bound per job (0 = none)")
-	maxBytes := flag.Int64("max-request-bytes", 1<<20, "maximum POST /cure body size")
-	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints")
-	storeDir := flag.String("store-dir", "", "persistent artifact store directory; compiles survive restarts (empty = memory cache only)")
-	traceBuffer := flag.Int("trace-buffer", trace.DefaultBufferEntries, "request traces kept for GET /traces/{id} (negative disables)")
-	queueDepth := flag.Int("queue-depth", 256, "admission queue bound; excess load is shed with 429 (0 = unbounded)")
-	clientHeader := flag.String("client-header", DefaultClientHeader, "request header carrying the fair-queue client ID")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
+		os.Exit(1)
+	}
+}
 
+// run parses args, serves until ctx is done, then drains in-flight
+// requests. Every line it writes to stderr is a slog JSON record, from the
+// startup lines to the shutdown line; an error it returns is logged first.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ccserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	jobs := fs.Int("j", runtime.NumCPU(), "concurrent curing/execution jobs")
+	cacheEntries := fs.Int("cache", pipeline.DefaultCacheEntries, "compile cache entries (negative disables)")
+	stepLimit := fs.Uint64("step-limit", 200_000_000, "default interpreter step limit per run")
+	jobTimeout := fs.Duration("timeout", 60*time.Second, "wall-clock bound per job (0 = none)")
+	maxBytes := fs.Int64("max-request-bytes", 1<<20, "maximum POST /cure body size")
+	pprofFlag := fs.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints")
+	storeDir := fs.String("store-dir", "", "persistent artifact store directory; compiles survive restarts (empty = memory cache only)")
+	traceBuffer := fs.Int("trace-buffer", trace.DefaultBufferEntries, "request traces kept for GET /traces/{id} (negative disables)")
+	queueDepth := fs.Int("queue-depth", 256, "admission queue bound; excess load is shed with 429 (0 = unbounded)")
+	clientHeader := fs.String("client-header", DefaultClientHeader, "request header carrying the fair-queue client ID")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+
+	logger := slog.New(slog.NewJSONHandler(stderr, nil))
+	fail := func(msg string, err error) error {
+		logger.Error(msg, "err", err.Error())
+		return err
+	}
 	arts, err := pipeline.OpenStore(*storeDir)
 	if err != nil {
-		log.Fatalf("ccserve: %v", err)
+		return fail("ccserve: open artifact store", err)
 	}
 	runner := pipeline.NewRunner(pipeline.RunnerOptions{
 		Workers:            *jobs,
@@ -682,39 +702,38 @@ func main() {
 		CoalesceJobs:       true,
 	})
 
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	app := newServer(runner, serverConfig{MaxBytes: *maxBytes, Logger: logger,
 		Pprof: *pprofFlag, StoreConfigured: *storeDir != "", ClientHeader: *clientHeader})
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           app,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail("ccserve: listen", err)
+	}
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	// Store, runner, and listener are wired; let /readyz admit traffic.
 	app.markReady()
-	log.Printf("ccserve listening on %s (%d workers, %s version %s)",
-		*addr, runner.Workers(), "gocured", gocured.Version)
+	logger.Info("ccserve listening", "addr", ln.Addr().String(), "workers", runner.Workers(),
+		"version", gocured.Version)
 	if arts != nil {
 		st := arts.Store().Stats()
-		log.Printf("ccserve: artifact store %s (%d chunks, %d bytes)", *storeDir, st.Chunks, st.Bytes)
+		logger.Info("ccserve artifact store", "dir", *storeDir, "chunks", st.Chunks, "bytes", st.Bytes)
 	}
 
 	select {
 	case err := <-errCh:
-		log.Fatalf("ccserve: %v", err)
+		return fail("ccserve: serve", err)
 	case <-ctx.Done():
-		stop()
-		log.Printf("ccserve: shutting down")
+		logger.Info("ccserve shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("ccserve: shutdown: %v", err)
+			return fail("ccserve: shutdown", err)
 		}
 	}
+	return nil
 }

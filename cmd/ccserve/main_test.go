@@ -1020,3 +1020,64 @@ func TestRetryAfterSeconds(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceKeepsEveryRequest posts a.c then b.c with one traceparent: GET
+// /traces/{id} must return both requests' span lists, one track each, and
+// GET /traces must list both.
+func TestTraceKeepsEveryRequest(t *testing.T) {
+	s := testServer()
+	tid := trace.NewW3CTraceID()
+	for _, name := range []string{"a.c", "b.c"} {
+		rec := cure(s, `{"name":"`+name+`","source":"int main(void){return 0;}"}`, trace.Traceparent(tid))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", name, rec.Code, rec.Body.String())
+		}
+	}
+	rec := getTrace(s, tid)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /traces/%s = %d: %s", tid, rec.Code, rec.Body.String())
+	}
+	if _, err := flight.ValidateTrace(rec.Body.Bytes()); err != nil {
+		t.Fatalf("trace invalid: %v\n%s", err, rec.Body.String())
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	roots := map[string]int{} // request name -> track
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "B" && ev.Name == "request" {
+			if ev.Args["trace_id"] != tid {
+				t.Errorf("root span args = %v, want trace_id %s", ev.Args, tid)
+			}
+			name, _ := ev.Args["name"].(string)
+			roots[name] = ev.Tid
+		}
+	}
+	if len(roots) != 2 || roots["a.c"] == 0 || roots["b.c"] == 0 || roots["a.c"] == roots["b.c"] {
+		t.Errorf("request roots by name and track = %v, want a.c and b.c on two tracks", roots)
+	}
+
+	lrec := httptest.NewRecorder()
+	s.ServeHTTP(lrec, httptest.NewRequest(http.MethodGet, "/traces", nil))
+	var list []traceSummary
+	if err := json.Unmarshal(lrec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range list {
+		if r.TraceID == tid {
+			names = append(names, r.Name)
+		}
+	}
+	if strings.Join(names, ",") != "b.c,a.c" {
+		t.Errorf("GET /traces lists %v under %s, want b.c then a.c", names, tid)
+	}
+}

@@ -106,23 +106,9 @@ const (
 	KwTrustedCast // __trusted_cast
 )
 
-var keywords = map[string]TokKind{
-	"void": KwVoid, "char": KwChar, "short": KwShort, "int": KwInt,
-	"long": KwLong, "float": KwFloat, "double": KwDouble,
-	"signed": KwSigned, "unsigned": KwUnsigned,
-	"struct": KwStruct, "union": KwUnion, "enum": KwEnum,
-	"typedef": KwTypedef, "extern": KwExtern, "static": KwStatic,
-	"const": KwConst, "volatile": KwVolatile,
-	"if": KwIf, "else": KwElse, "while": KwWhile, "do": KwDo, "for": KwFor,
-	"return": KwReturn, "break": KwBreak, "continue": KwContinue,
-	"switch": KwSwitch, "case": KwCase, "default": KwDefault,
-	"sizeof": KwSizeof, "goto": KwGoto,
-	"__SAFE": KwSafe, "__SEQ": KwSeq, "__WILD": KwWild, "__RTTI": KwRtti,
-	"__SPLIT": KwSplit, "__NOSPLIT": KwNoSplit,
-	"__trusted_cast": KwTrustedCast,
-}
-
-var tokNames = map[TokKind]string{
+// tokNames holds the printable name of every token kind, indexed by kind;
+// a keyword's name is its spelling.
+var tokNames = [...]string{
 	EOF: "EOF", IDENT: "identifier", INTLIT: "integer literal",
 	FLOATLIT: "float literal", CHARLIT: "char literal", STRLIT: "string literal",
 	PRAGMA: "#pragma",
@@ -136,17 +122,35 @@ var tokNames = map[TokKind]string{
 	ASSIGN: "=", PLUSASSIGN: "+=", MINUSASSIGN: "-=", STARASSIGN: "*=",
 	SLASHASSIGN: "/=", PERCENTASSIGN: "%=", AMPASSIGN: "&=",
 	PIPEASSIGN: "|=", CARETASSIGN: "^=", LSHIFTASSIGN: "<<=", RSHIFTASSIGN: ">>=",
+
+	KwVoid: "void", KwChar: "char", KwShort: "short", KwInt: "int",
+	KwLong: "long", KwFloat: "float", KwDouble: "double",
+	KwSigned: "signed", KwUnsigned: "unsigned",
+	KwStruct: "struct", KwUnion: "union", KwEnum: "enum",
+	KwTypedef: "typedef", KwExtern: "extern", KwStatic: "static",
+	KwConst: "const", KwVolatile: "volatile",
+	KwIf: "if", KwElse: "else", KwWhile: "while", KwDo: "do", KwFor: "for",
+	KwReturn: "return", KwBreak: "break", KwContinue: "continue",
+	KwSwitch: "switch", KwCase: "case", KwDefault: "default",
+	KwSizeof: "sizeof", KwGoto: "goto",
+	KwSafe: "__SAFE", KwSeq: "__SEQ", KwWild: "__WILD", KwRtti: "__RTTI",
+	KwSplit: "__SPLIT", KwNoSplit: "__NOSPLIT",
+	KwTrustedCast: "__trusted_cast",
 }
+
+// keywords maps each keyword's spelling to its kind.
+var keywords = func() map[string]TokKind {
+	m := make(map[string]TokKind, KwTrustedCast-KwVoid+1)
+	for k := KwVoid; k <= KwTrustedCast; k++ {
+		m[tokNames[k]] = k
+	}
+	return m
+}()
 
 // String returns a printable name for the token kind.
 func (k TokKind) String() string {
-	if n, ok := tokNames[k]; ok {
-		return n
-	}
-	for s, kw := range keywords {
-		if kw == k {
-			return s
-		}
+	if k >= 0 && int(k) < len(tokNames) {
+		return tokNames[k]
 	}
 	return fmt.Sprintf("tok(%d)", int(k))
 }

@@ -9,6 +9,7 @@ import (
 
 	"gocured"
 	"gocured/internal/corpus"
+	"gocured/internal/provenance"
 )
 
 // E10: check-optimizer overhead. Every corpus program is cured twice — at
@@ -53,6 +54,8 @@ type OptBenchRow struct {
 
 // OptBench is the full -O0 vs -O comparison, serialized to BENCH_opt.json.
 type OptBench struct {
+	// Host records the ccbench build's revision and the machine measured.
+	provenance.Host
 	Scale           int           `json:"scale"`
 	Rows            []OptBenchRow `json:"rows"`
 	TotalChecksO0   uint64        `json:"total_dyn_checks_o0"`
@@ -72,7 +75,7 @@ func pct(part, whole uint64) float64 {
 // meaningless, and the point is to execute both builds fresh.
 func MeasureOpt(cfg Config) *OptBench {
 	progs := corpus.All()
-	bench := &OptBench{Scale: cfg.Scale, Rows: make([]OptBenchRow, len(progs))}
+	bench := &OptBench{Host: provenance.Here(), Scale: cfg.Scale, Rows: make([]OptBenchRow, len(progs))}
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 1

@@ -317,12 +317,12 @@ func (in *inferrer) flow(src, dst *ctypes.Type, rule string, pos diag.Pos) {
 		}
 		in.g.FlowR(ns, nd, rule, pos)
 		in.edges = append(in.edges, &edge{src: ns, dst: nd, class: edgeAssign})
-		if ok, pairs := ctypes.PhysEqual(src.Elem, dst.Elem); ok {
+		if ok, pairs := in.match.PhysEqual(src.Elem, dst.Elem); ok {
 			in.unifyPairs(pairs, rule, pos)
 		}
 	case src.Kind == ctypes.Struct && dst.Kind == ctypes.Struct:
 		// Struct copy: contained pointers alias the same data.
-		if ok, pairs := ctypes.PhysEqual(src, dst); ok {
+		if ok, pairs := in.match.PhysEqual(src, dst); ok {
 			in.unifyPairs(pairs, "struct-copy", pos)
 		}
 	case src.Kind == ctypes.Array && dst.IsPointer():
@@ -430,7 +430,7 @@ func (in *inferrer) collectCast(c *cil.Cast) {
 		return
 	}
 
-	if ok, pairs := ctypes.PhysEqual(from.Elem, to.Elem); ok {
+	if ok, pairs := in.match.PhysEqual(from.Elem, to.Elem); ok {
 		site.Class = CastIdentity
 		in.unifyPairs(pairs, "cast-identity", c.Pos)
 		in.flowEdge(nf, nt, from, to, "cast-identity", c.Pos, edgeAssign, site)
@@ -438,10 +438,10 @@ func (in *inferrer) collectCast(c *cil.Cast) {
 	}
 
 	if !in.opts.NoPhysicalSubtyping {
-		if ok, pairs := ctypes.Prefix(from.Elem, to.Elem); ok {
+		if ok, pairs := in.match.Prefix(from.Elem, to.Elem); ok {
 			// Upcast: from.Elem <= to.Elem.
 			site.Class = CastUpcast
-			site.TileOK, _ = ctypes.Tile(from.Elem, to.Elem)
+			site.TileOK, _ = in.match.Tile(from.Elem, to.Elem)
 			if to.Elem.IsVoid() {
 				// A SEQ void* keeps byte-granular bounds and cannot be
 				// dereferenced, so the tiling requirement is vacuous.
@@ -451,7 +451,7 @@ func (in *inferrer) collectCast(c *cil.Cast) {
 			in.flowEdge(nf, nt, from, to, "upcast", c.Pos, edgeUpcast, site)
 			return
 		}
-		if ok, pairs := ctypes.Prefix(to.Elem, from.Elem); ok {
+		if ok, pairs := in.match.Prefix(to.Elem, from.Elem); ok {
 			// Downcast: to.Elem <= from.Elem.
 			if in.opts.NoRTTI {
 				if in.opts.TrustBadCasts {
@@ -472,7 +472,7 @@ func (in *inferrer) collectCast(c *cil.Cast) {
 			in.flowEdge(nf, nt, from, to, "downcast", c.Pos, edgeDowncast, site)
 			return
 		}
-		if ok, pairs := ctypes.Tile(from.Elem, to.Elem); ok {
+		if ok, pairs := in.match.Tile(from.Elem, to.Elem); ok {
 			// Same tiling: valid between SEQ pointers (§3.1).
 			site.Class = CastSeqTile
 			in.unifyPairs(pairs, "seq-tile", c.Pos)

@@ -157,6 +157,8 @@ type inferrer struct {
 	reg *ctypes.OnceWalker
 	// qualSU memoizes hasQualOcc per complete struct.
 	qualSU map[*ctypes.StructInfo]bool
+	// match runs every physical type comparison, reusing its buffers.
+	match ctypes.Matcher
 }
 
 func newInferrer(prog *cil.Program, opts Options, diags *diag.List) *inferrer {

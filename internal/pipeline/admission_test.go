@@ -428,10 +428,11 @@ func TestCoalescingRace(t *testing.T) {
 		if res.Tier != "coalesced" {
 			continue
 		}
-		rt, ok := r.Traces().Get(res.TraceID)
-		if !ok {
-			t.Fatalf("follower %d trace %s not in buffer", i, res.TraceID)
+		reqs, ok := r.Traces().Get(res.TraceID)
+		if !ok || len(reqs) != 1 {
+			t.Fatalf("follower %d trace %s: %d requests in buffer, want 1", i, res.TraceID, len(reqs))
 		}
+		rt := reqs[0]
 		if len(rt.Spans) != 1 || !strings.Contains(rt.Spans[0].Name, leader.TraceID) {
 			t.Fatalf("follower %d stub trace spans = %+v, want one span naming leader trace %s",
 				i, rt.Spans, leader.TraceID)

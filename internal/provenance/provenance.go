@@ -1,7 +1,8 @@
 // Package provenance records where a measurement came from — the source
 // revision of the running binary, the machine and the Go toolchain — so
 // that the benchmark reports the repository's tools write (ccload's load
-// report, ccbench's BENCH_interp.json) carry the same header.
+// report, ccbench's BENCH_interp.json and BENCH_opt.json) carry the same
+// header.
 package provenance
 
 import (

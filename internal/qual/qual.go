@@ -270,14 +270,15 @@ func (n *Node) MarkRttiAt(pos diag.Pos) {
 	}
 }
 
-// Reps returns the unique class representatives.
+// Reps returns the unique class representatives, in the order of each
+// class's first node.
 func (g *Graph) Reps() []*Node {
-	seen := make(map[*Node]bool)
+	seen := make([]bool, len(g.Nodes)+1) // by node ID
 	var out []*Node
 	for _, n := range g.Nodes {
 		r := n.Find()
-		if !seen[r] {
-			seen[r] = true
+		if !seen[r.ID] {
+			seen[r.ID] = true
 			out = append(out, r)
 		}
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"time"
 )
@@ -10,7 +11,8 @@ import (
 // job): its trace ID, identity, wall-clock epoch, and the pre-order,
 // depth-annotated span list assembled by the runner (queue wait, cache
 // tier, compile phases, store I/O, run). It is the unit the trace buffer
-// stores and GET /traces/{id} renders as a Chrome trace.
+// stores; GET /traces/{id} renders every stored request of one trace ID
+// as a Chrome trace.
 type ReqTrace struct {
 	ID    string    `json:"trace_id"`
 	Name  string    `json:"name"`
@@ -42,32 +44,33 @@ type BufferStats struct {
 const DefaultBufferEntries = 1024
 
 // Buffer is a bounded in-memory store of finished request traces,
-// queryable by trace ID and ordered by when each was last added. When
-// full, adding evicts the oldest trace. It is safe for concurrent use.
+// queryable by trace ID and ordered by when each was added. It holds one
+// entry per request: requests that share one upstream trace-id are all
+// kept, and capacity and eviction count requests. When full, adding evicts
+// the oldest request. It is safe for concurrent use.
 type Buffer struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List               // of ReqTrace, oldest at the front
-	byID    map[string]*list.Element // trace ID -> its element in order
+	order   *list.List                 // of ReqTrace, oldest at the front
+	byID    map[string][]*list.Element // trace ID -> its requests in order, oldest first
 	added   uint64
 	evicted uint64
 	dropped uint64
 }
 
-// NewBuffer returns a buffer bounded to capacity traces (<= 0 means
+// NewBuffer returns a buffer bounded to capacity requests (<= 0 means
 // DefaultBufferEntries).
 func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = DefaultBufferEntries
 	}
-	return &Buffer{cap: capacity, order: list.New(), byID: make(map[string]*list.Element, capacity)}
+	return &Buffer{cap: capacity, order: list.New(), byID: make(map[string][]*list.Element, capacity)}
 }
 
-// Add stores a finished trace as the newest entry, evicting the oldest
-// when full. A trace with no ID or no spans is counted as dropped — it
-// could never be queried, so storing it would only mask the bug that
-// produced it. A repeated ID (requests of one upstream trace share its
-// trace-id) replaces the previous trace and becomes the newest entry.
+// Add stores a finished request trace as the newest entry, evicting the
+// oldest request when full. A trace with no ID or no spans is counted as
+// dropped — it could never be queried, so storing it would only mask the
+// bug that produced it.
 func (b *Buffer) Add(t ReqTrace) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -76,30 +79,37 @@ func (b *Buffer) Add(t ReqTrace) {
 		return
 	}
 	b.added++
-	if e, ok := b.byID[t.ID]; ok {
-		e.Value = t
-		b.order.MoveToBack(e)
-		return
-	}
-	b.byID[t.ID] = b.order.PushBack(t)
+	b.byID[t.ID] = append(b.byID[t.ID], b.order.PushBack(t))
 	if b.order.Len() > b.cap {
+		// The oldest request overall is the oldest of its trace ID.
 		old := b.order.Remove(b.order.Front()).(ReqTrace)
-		delete(b.byID, old.ID)
+		if es := b.byID[old.ID]; len(es) > 1 {
+			b.byID[old.ID] = slices.Delete(es, 0, 1)
+		} else {
+			delete(b.byID, old.ID)
+		}
 		b.evicted++
 	}
 }
 
-// Get returns the trace with the given ID.
-func (b *Buffer) Get(id string) (ReqTrace, bool) {
+// Get returns every retained request with the given trace ID, oldest
+// first.
+func (b *Buffer) Get(id string) ([]ReqTrace, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if e, ok := b.byID[id]; ok {
-		return e.Value.(ReqTrace), true
+	es, ok := b.byID[id]
+	if !ok {
+		return nil, false
 	}
-	return ReqTrace{}, false
+	out := make([]ReqTrace, len(es))
+	for i, e := range es {
+		out[i] = e.Value.(ReqTrace)
+	}
+	return out, true
 }
 
-// Recent returns up to n live traces, newest first (n <= 0 means all).
+// Recent returns up to n retained requests, newest first (n <= 0 means
+// all).
 func (b *Buffer) Recent(n int) []ReqTrace {
 	b.mu.Lock()
 	defer b.mu.Unlock()

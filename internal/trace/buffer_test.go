@@ -46,7 +46,7 @@ func TestBufferAddGetEvict(t *testing.T) {
 		t.Error("oldest trace survived eviction")
 	}
 	for _, id := range []string{"aaaaaaaaaaaaaaa2", "aaaaaaaaaaaaaaa3", "aaaaaaaaaaaaaaa4"} {
-		if got, ok := b.Get(id); !ok || got.ID != id {
+		if got, ok := b.Get(id); !ok || len(got) != 1 || got[0].ID != id {
 			t.Errorf("Get(%s) = %+v, %v", id, got, ok)
 		}
 	}
@@ -80,23 +80,45 @@ func TestBufferDropsUnqueryable(t *testing.T) {
 	}
 }
 
-func TestBufferDuplicateIDReplaces(t *testing.T) {
+// TestBufferDuplicateIDKeepsEach adds two requests that share one
+// upstream trace-id: Get returns both, oldest first, and each counts
+// against the capacity.
+func TestBufferDuplicateIDKeepsEach(t *testing.T) {
 	b := NewBuffer(2)
 	b.Add(rt("aaaaaaaaaaaaaaa1"))
 	upd := rt("aaaaaaaaaaaaaaa1")
-	upd.DurMS = 42
+	upd.Name, upd.DurMS = "b.c", 42
 	b.Add(upd)
 	got, ok := b.Get("aaaaaaaaaaaaaaa1")
-	if !ok || got.DurMS != 42 {
-		t.Errorf("Get = %+v, %v; want replaced trace", got, ok)
+	if !ok || len(got) != 2 || got[0].DurMS != 0 || got[1].Name != "b.c" || got[1].DurMS != 42 {
+		t.Errorf("Get = %+v, %v; want both requests, oldest first", got, ok)
 	}
-	if st := b.Stats(); st.Live != 1 || st.Evicted != 0 {
+	if st := b.Stats(); st.Live != 2 || st.Evicted != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestBufferSharedIDEvictsPerRequest fills a buffer of two with requests
+// a, a, b: the first a is evicted alone, and the second stays reachable.
+func TestBufferSharedIDEvictsPerRequest(t *testing.T) {
+	b := NewBuffer(2)
+	first, second := rt("a"), rt("a")
+	first.Name, second.Name = "first.c", "second.c"
+	b.Add(first)
+	b.Add(second)
+	b.Add(rt("b"))
+	got, ok := b.Get("a")
+	if !ok || len(got) != 1 || got[0].Name != "second.c" {
+		t.Errorf("Get(a) = %+v, %v; want only the second request", got, ok)
+	}
+	if st := b.Stats(); st.Added != 3 || st.Evicted != 1 || st.Live != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 // TestBufferReaddedIDBecomesNewest adds a, b, c, a at capacity 3: the
-// re-added a is the newest entry, so adding d evicts b, not the fresh a.
+// second a is the newest entry and evicts the first, so adding d evicts
+// b, not the fresh a.
 func TestBufferReaddedIDBecomesNewest(t *testing.T) {
 	b := NewBuffer(3)
 	for _, id := range []string{"a", "b", "c", "a"} {
@@ -116,13 +138,13 @@ func TestBufferReaddedIDBecomesNewest(t *testing.T) {
 	if got := ids(); got != "d,a,c" {
 		t.Fatalf("Recent after adding d = %s, want d,a,c", got)
 	}
-	if _, ok := b.Get("a"); !ok {
-		t.Error("the re-added a was evicted")
+	if got, ok := b.Get("a"); !ok || len(got) != 1 {
+		t.Errorf("Get(a) = %+v, %v; want the re-added a alone", got, ok)
 	}
 	if _, ok := b.Get("b"); ok {
 		t.Error("b, the oldest entry, survived eviction")
 	}
-	if st := b.Stats(); st.Added != 5 || st.Evicted != 1 || st.Live != 3 {
+	if st := b.Stats(); st.Added != 5 || st.Evicted != 2 || st.Live != 3 {
 		t.Errorf("stats = %+v", st)
 	}
 }
