@@ -85,7 +85,7 @@ func main() {
 		pipePath := filepath.Join(*traceDir, "pipeline.json")
 		f, err := os.Create(pipePath)
 		if err == nil {
-			err = flight.WriteTrace(f, flight.RequestRings(cfg.Runner.Traces().Recent(0)))
+			err = flight.WriteRequestTrace(f, cfg.Runner.Traces().Recent(0))
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

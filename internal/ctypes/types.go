@@ -53,13 +53,6 @@ type Type struct {
 	SU     *StructInfo
 	Fn     *FuncInfo
 
-	// Node is the pointer-kind qualifier node id for Ptr and Array
-	// occurrences; 0 means not yet assigned.
-	Node int
-	// SNode is the SPLIT-qualifier node id (§4.2); SPLIT applies to all
-	// types, so every occurrence may receive one. 0 means unassigned.
-	SNode int
-
 	// Ann records a programmer-supplied pointer-kind annotation
 	// (__SAFE/__SEQ/__WILD/__RTTI) on this occurrence.
 	Ann KindAnn
@@ -226,8 +219,6 @@ func (t *Type) Decay() *Type {
 	if t.Kind == Array {
 		if t.decayed == nil {
 			p := PointerTo(t.Elem)
-			p.Node = t.Node
-			p.SNode = t.SNode
 			p.Ann = t.Ann
 			p.SplitAnnot = t.SplitAnnot
 			p.DecayOf = t

@@ -240,12 +240,18 @@ func TestEqualStructural(t *testing.T) {
 	}
 }
 
+// TestDecaySharesNode checks what lets the inference give an array and its
+// decayed pointer one qualifier node: the decayed occurrence is cached per
+// array, links back to it and carries its annotation.
 func TestDecaySharesNode(t *testing.T) {
 	arr := ArrayOf(IntT(), 8)
-	arr.Node = 42
+	arr.Ann = AnnSeq
 	d := arr.Decay()
-	if d.Kind != Ptr || d.Node != 42 {
-		t.Errorf("decayed type = %s node %d, want int* node 42", d, d.Node)
+	if d.Kind != Ptr || d.Elem != arr.Elem || d.DecayOf != arr || d.Ann != AnnSeq {
+		t.Errorf("decayed type = %s (decay of %p, ann %d), want int* decaying %p with ann %d", d, d.DecayOf, d.Ann, arr, AnnSeq)
+	}
+	if arr.Decay() != d {
+		t.Error("Decay of one array occurrence returned two pointer occurrences")
 	}
 }
 

@@ -56,9 +56,7 @@ func TestDiagnosticListGolden(t *testing.T) {
 // the forcing seed last.
 func TestBlameChainGolden(t *testing.T) {
 	p := trace.NewProv()
-	p.Describe(3, "int *")
-	p.Describe(7, "int *")
-	p.Describe(9, "struct T *")
+	p.Text = func(n int) string { return map[int]string{3: "int *", 7: "int *", 9: "struct T *"}[n] }
 	p.AddEdge(3, 7, trace.CatFlow, "call-arg", diag.Pos{File: "w.c", Line: 4, Col: 11})
 	p.AddEdge(7, 9, trace.CatUnify, "cast-identity", diag.Pos{File: "w.c", Line: 8, Col: 5})
 	p.AddSeed(9, "bad-cast", diag.Pos{File: "w.c", Line: 8, Col: 16}, "struct T * incompatible with int *")

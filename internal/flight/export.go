@@ -146,22 +146,6 @@ func RingFromSpans(track string, spans []trace.Span) *Ring {
 	return r
 }
 
-// RequestRings renders finished request traces (a pipeline Runner's trace
-// buffer) as one ring per request, ordered by start time. Each trace's
-// spans are shifted from request-relative offsets onto one clock whose
-// zero is the earliest request's start, so the tracks line up in Perfetto
-// and show the queue-wait, cache-tier and compile-phase spans of every
-// request side by side.
-func RequestRings(traces []trace.ReqTrace) []*Ring {
-	var rings []*Ring
-	for _, rt := range alignRequests(traces) {
-		if r := RingFromSpans(rt.Name+" "+rt.ID, rt.Spans); r != nil {
-			rings = append(rings, r)
-		}
-	}
-	return rings
-}
-
 // alignRequests returns copies of traces ordered by start time, each one's
 // spans shifted from request-relative offsets onto one clock whose zero is
 // the earliest request's start.
@@ -179,11 +163,14 @@ func alignRequests(traces []trace.ReqTrace) []trace.ReqTrace {
 	return traces
 }
 
-// WriteRequestTrace renders finished request traces (the requests of one
-// trace ID in a pipeline Runner's trace buffer) as Chrome trace-event
-// JSON, one track per request, aligned on one clock as RequestRings does.
-// Each request's root span carries its trace ID, name, start time and
-// error in its args.
+// WriteRequestTrace renders finished request traces (a pipeline Runner's
+// trace buffer, or the requests of one trace ID in it) as Chrome
+// trace-event JSON, one track per request, ordered by start time. Each
+// trace's spans are shifted onto one clock whose zero is the earliest
+// request's start, so the tracks line up in Perfetto and show the
+// queue-wait, cache-tier and compile-phase spans of every request side by
+// side. Each request's root span carries its trace ID, name, start time
+// and error in its args.
 func WriteRequestTrace(w io.Writer, traces []trace.ReqTrace) error {
 	var tracks []spanTrack
 	for _, rt := range alignRequests(traces) {

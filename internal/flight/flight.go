@@ -7,8 +7,8 @@
 // box": the last events leading up to and including the trap.
 //
 // The pipeline keeps no live rings of its own: a job's timing is its
-// request span list (internal/trace), and RingFromSpans and RequestRings
-// turn finished span lists into rings only at export time.
+// request span list (internal/trace), which WriteSpanTrace and
+// WriteRequestTrace render only at export time.
 //
 // The disabled-path contract is one branch: every instrumentation point in
 // the interpreter is `if m.rec != nil { record }`. A Ring is single-

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -205,28 +206,41 @@ func TestRingFromSpansNesting(t *testing.T) {
 	}
 }
 
-// TestRequestRingsSharedClock checks request traces land on one clock:
-// each request is its own track, ordered by start, with its spans offset
-// by its start relative to the earliest request.
+// TestRequestRingsSharedClock checks WriteRequestTrace puts request
+// traces on one clock: each request is its own track, ordered by start,
+// with its spans offset by its start relative to the earliest request.
 func TestRequestRingsSharedClock(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	spans := []trace.Span{{Name: "request", DurMS: 2}, {Name: "queue-wait", DurMS: 1, Depth: 1}}
-	rings := RequestRings([]trace.ReqTrace{
+	var buf bytes.Buffer
+	if err := WriteRequestTrace(&buf, []trace.ReqTrace{
 		{ID: "b", Name: "late.c", Start: t0.Add(5 * time.Millisecond), Spans: spans},
 		{ID: "a", Name: "early.c", Start: t0, Spans: spans},
-	})
-	if len(rings) != 2 || rings[0].Track() != "early.c a" || rings[1].Track() != "late.c b" {
-		t.Fatalf("rings = %v, want early.c a then late.c b", rings)
-	}
-	if ts := rings[1].Events()[0].TS; ts != 5000 {
-		t.Errorf("late request begins at %dµs, want 5000", ts)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, rings); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateTrace(buf.Bytes()); err != nil {
 		t.Fatalf("request trace does not validate: %v\n%s", err, buf.String())
+	}
+	var f traceFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	tracks := map[int]string{}
+	begins := map[int]float64{}
+	for _, e := range f.TraceEvents {
+		switch {
+		case e.Ph == "M":
+			tracks[e.Tid] = e.Args["name"].(string)
+		case e.Ph == "B" && e.Name == "request":
+			begins[e.Tid] = e.TS
+		}
+	}
+	if len(tracks) != 2 || tracks[1] != "req early.c" || tracks[2] != "req late.c" {
+		t.Fatalf("tracks = %v, want req early.c then req late.c", tracks)
+	}
+	if begins[1] != 0 || begins[2] != 5000 {
+		t.Errorf("requests begin at %vµs and %vµs, want 0 and 5000", begins[1], begins[2])
 	}
 }
 

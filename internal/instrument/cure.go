@@ -18,13 +18,11 @@ type Cured struct {
 	ChecksInserted map[cil.CheckKind]int
 	// Opt holds the full optimizer statistics (nil when curing ran at -O0).
 	Opt *OptStats
-	// Sites is the static check-site table of the final program, built by
-	// AssignSites after optimization; cil.Check.Site indexes it 1-based.
+	// Sites is the static check-site table, built by AssignSites after
+	// optimization; cil.Check.Site indexes it 1-based.
 	Sites []SiteInfo
-	// SiteIndex maps a site back to its 1-based ID (the inverse of Sites);
-	// the interpreter uses it to resolve the optimizer's per-site
-	// elimination counts onto dense site-ID-indexed counters.
-	SiteIndex map[SiteInfo]int32
+	// elided holds the checks Optimize deleted outright, for AssignSites.
+	elided []*cil.Check
 }
 
 // RedirectWrappers rewrites calls to wrapped extern functions so they go

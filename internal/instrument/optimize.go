@@ -7,7 +7,6 @@ import (
 
 	"gocured/internal/cil"
 	"gocured/internal/ctypes"
-	"gocured/internal/diag"
 )
 
 // Check-elimination over a real control-flow graph. The paper notes that,
@@ -72,10 +71,6 @@ type OptStats struct {
 	Widened int
 	// PerFunc maps function name to its per-function statistics.
 	PerFunc map[string]*FuncOpt
-	// Sites attributes every statically deleted check to its source
-	// position, so run-time reporting (TopSites, -explain) can show what
-	// the optimizer removed instead of silently under-counting.
-	Sites []SiteElim
 }
 
 // Removed returns the number of check instructions deleted outright.
@@ -88,34 +83,14 @@ type FuncOpt struct {
 	Blocks                                  int // CFG size
 }
 
-// SiteElim records statically deleted checks at one source site.
-type SiteElim struct {
-	Pos  diag.Pos
-	Kind cil.CheckKind
-	N    int
-}
-
 // Optimize runs the check optimizer over c.Prog and records the statistics
-// on c. It must run after Cure and is skipped entirely at -O0.
+// on c. Every check it deletes outright is kept on c for AssignSites, which
+// attributes it to its site. It must run after Cure and is skipped entirely
+// at -O0.
 func Optimize(c *Cured) *OptStats {
 	st := &OptStats{PerFunc: make(map[string]*FuncOpt)}
-	type site struct {
-		pos  diag.Pos
-		kind cil.CheckKind
-	}
-	siteIdx := make(map[site]int)
-	record := func(chk *cil.Check) {
-		key := site{chk.Pos, chk.Kind}
-		if !key.pos.IsValid() {
-			key.pos = diag.Pos{} // every invalid position is one "<generated>" site
-		}
-		if i, ok := siteIdx[key]; ok {
-			st.Sites[i].N++
-		} else {
-			siteIdx[key] = len(st.Sites)
-			st.Sites = append(st.Sites, SiteElim{Pos: chk.Pos, Kind: chk.Kind, N: 1})
-		}
-	}
+	c.elided = c.elided[:0]
+	record := func(chk *cil.Check) { c.elided = append(c.elided, chk) }
 	facts := newFactTable()
 	for _, f := range c.Prog.Funcs {
 		fo := &FuncOpt{Before: countChecks(f.Body.Stmts)}

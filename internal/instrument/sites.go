@@ -4,38 +4,48 @@ import (
 	"gocured/internal/cil"
 )
 
-// SiteInfo is one static check site of the final (optimized) cured
-// program: a rendered source position × check kind. Check.Site values
-// index this table 1-based.
+// SiteInfo is one static check site: a rendered source position × check
+// kind. Elided counts the site's checks the optimizer deleted, so run-time
+// reporting stays truthful about what curing inserted there.
 type SiteInfo struct {
-	Pos  string
-	Kind cil.CheckKind
+	Pos    string
+	Kind   cil.CheckKind
+	Elided int
 }
 
-// AssignSites walks the cured program after optimization and gives every
-// check instruction a stable small-integer site ID, deduplicated by
-// position × kind (the same identity interp.SiteKey uses for run-time
-// attribution). The table lets the flight recorder log one int32 per
-// executed check instead of a position string, and lets exporters resolve
-// IDs back to sources. core.Build calls this as the last curing stage.
+// AssignSites is the one place that decides what a check site is. It walks
+// the cured program after optimization and gives every check instruction a
+// dense 1-based site ID, deduplicated by position × kind; then it
+// attributes each check the optimizer deleted to its site, appending the
+// sites whose checks were all deleted after the surviving ones. The table
+// lets the interpreter count and the flight recorder log by integer ID, and
+// lets exporters resolve IDs back to sources. core.Build calls this as the
+// last curing stage.
 func AssignSites(c *Cured) {
-	idx := make(map[SiteInfo]int32)
+	type key struct {
+		pos  string
+		kind cil.CheckKind
+	}
+	idx := make(map[key]int32)
 	c.Sites = c.Sites[:0]
+	site := func(chk *cil.Check) int32 {
+		k := key{chk.Pos.String(), chk.Kind}
+		id, seen := idx[k]
+		if !seen {
+			c.Sites = append(c.Sites, SiteInfo{Pos: k.pos, Kind: k.kind})
+			id = int32(len(c.Sites))
+			idx[k] = id
+		}
+		return id
+	}
 	for _, f := range c.Prog.Funcs {
 		cil.WalkInstrs(f.Body.Stmts, func(i cil.Instr) {
-			chk, ok := i.(*cil.Check)
-			if !ok {
-				return
+			if chk, ok := i.(*cil.Check); ok {
+				chk.Site = site(chk)
 			}
-			k := SiteInfo{Pos: chk.Pos.String(), Kind: chk.Kind}
-			id, seen := idx[k]
-			if !seen {
-				c.Sites = append(c.Sites, k)
-				id = int32(len(c.Sites))
-				idx[k] = id
-			}
-			chk.Site = id
 		})
 	}
-	c.SiteIndex = idx
+	for _, chk := range c.elided {
+		c.Sites[site(chk)-1].Elided++
+	}
 }

@@ -33,9 +33,7 @@ var checkCost = [cil.NumCheckKinds]uint64{
 func (m *Machine) checkEnter(c *cil.Check) {
 	m.cnt.Checks++
 	m.cnt.ChecksByKind[c.Kind]++
-	if sc := m.siteFor(c); sc != nil {
-		sc.Hits++
-	}
+	m.siteFor(c).Hits++
 	m.addCost(checkCost[c.Kind])
 	if m.rec != nil {
 		m.rec.Record(flight.Event{TS: m.cnt.Cost, Kind: flight.EvCheck, Site: c.Site, Arg: uint64(c.Size)})

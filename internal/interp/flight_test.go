@@ -1,6 +1,8 @@
 package interp_test
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"gocured/internal/cil"
@@ -10,18 +12,24 @@ import (
 
 // TestTopSitesTieOrder pins the hot-site ordering: hits descending, then
 // source position compared numerically (t.c:9 before t.c:10 — lexical order
-// would reverse them), then check kind. Map iteration order must never leak
-// into the report.
+// would reverse them), then check kind. The order the sites are listed in
+// must never leak into the report.
 func TestTopSitesTieOrder(t *testing.T) {
-	c := interp.Counters{Sites: map[interp.SiteKey]*interp.SiteCount{
-		{Pos: "t.c:10:1", Kind: cil.CheckNull}: {Hits: 7},
-		{Pos: "t.c:9:1", Kind: cil.CheckNull}:  {Hits: 7},
-		{Pos: "t.c:2:5", Kind: cil.CheckSeq}:   {Hits: 7},
-		{Pos: "t.c:2:5", Kind: cil.CheckNull}:  {Hits: 7},
-		{Pos: "a.c:99:1", Kind: cil.CheckWild}: {Hits: 9},
-	}}
-	for i := 0; i < 50; i++ { // map order varies per iteration attempt
+	sites := []interp.SiteStat{
+		{Pos: "t.c:10:1", Kind: cil.CheckNull, Hits: 7},
+		{Pos: "t.c:9:1", Kind: cil.CheckNull, Hits: 7},
+		{Pos: "t.c:2:5", Kind: cil.CheckSeq, Hits: 7},
+		{Pos: "t.c:2:5", Kind: cil.CheckNull, Hits: 7},
+		{Pos: "a.c:99:1", Kind: cil.CheckWild, Hits: 9},
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 50; i++ { // a different input order each iteration
+		rng.Shuffle(len(sites), func(a, b int) { sites[a], sites[b] = sites[b], sites[a] })
+		c := interp.Counters{Sites: slices.Clone(sites)}
 		got := c.TopSites(0)
+		if !slices.Equal(c.Sites, sites) {
+			t.Fatal("TopSites reordered Counters.Sites in place")
+		}
 		want := []struct {
 			pos  string
 			kind cil.CheckKind

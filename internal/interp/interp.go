@@ -9,6 +9,7 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gocured/internal/cil"
@@ -99,24 +100,17 @@ type Config struct {
 	Code *vm.Module
 }
 
-// SiteKey identifies one static check site: rendered source position ×
-// check kind.
-type SiteKey struct {
-	Pos  string
-	Kind cil.CheckKind
-}
-
 // SiteCount tallies executions and traps of one check site.
 type SiteCount struct {
 	Hits  uint64
 	Traps uint64
 	// Elided counts checks the optimizer removed statically at this site —
-	// pre-populated from the curing statistics so hot-site reporting stays
+	// pre-populated from the site table so hot-site reporting stays
 	// truthful about what would have executed at -O0.
 	Elided uint64
 }
 
-// SiteStat is one check site with its counts, for top-N reporting.
+// SiteStat is one check site with its counts.
 type SiteStat struct {
 	Pos    string
 	Kind   cil.CheckKind
@@ -133,10 +127,11 @@ type Counters struct {
 	// indexed by cil.CheckKind (a map here would hash on every dynamic
 	// check); KindCounts.MarshalJSON keeps the external map-of-names shape.
 	ChecksByKind KindCounts
-	// Sites tallies per-site check executions and traps (file:line:col ×
-	// check kind), the run-time attribution that lets the optimizer be
-	// evaluated against real hit counts.
-	Sites  map[SiteKey]*SiteCount
+	// Sites lists, in site-ID order, every check site that executed,
+	// trapped or had checks elided (file:line:col × check kind): the
+	// run-time attribution that lets the optimizer be evaluated against
+	// real hit counts.
+	Sites  []SiteStat
 	Allocs uint64
 	// Cost is the deterministic simulated-cycle count: every step, memory
 	// access, check, split-metadata traversal, I/O call, and shadow-memory
@@ -149,10 +144,7 @@ type Counters struct {
 // TopSites returns the n hottest check sites by hit count (ties broken by
 // position then kind, so the order is deterministic).
 func (c *Counters) TopSites(n int) []SiteStat {
-	out := make([]SiteStat, 0, len(c.Sites))
-	for k, v := range c.Sites {
-		out = append(out, SiteStat{Pos: k.Pos, Kind: k.Kind, Hits: v.Hits, Traps: v.Traps, Elided: v.Elided})
-	}
+	out := slices.Clone(c.Sites)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hits != out[j].Hits {
 			return out[i].Hits > out[j].Hits
@@ -240,11 +232,9 @@ type Machine struct {
 
 	// siteCounts is the dense per-site counter table, indexed by the
 	// 1-based static site ID every check carries — the hit path touches no
-	// map and renders no position string. extraSites holds the cold
-	// leftovers: checks with no assigned ID and optimizer-elided sites
-	// whose ID is unknown. finishSites folds both into Counters.Sites.
+	// map and renders no position string. finishSites reports its
+	// non-zero rows as Counters.Sites.
 	siteCounts []SiteCount
-	extraSites map[SiteKey]*SiteCount
 
 	// framePool recycles activation records (and their register files)
 	// across calls; deep call chains would otherwise allocate one frame
@@ -372,31 +362,14 @@ func New(prog *cil.Program, cfg Config) *Machine {
 	if m.stepLimit == 0 {
 		m.stepLimit = 1_000_000_000
 	}
-	m.extraSites = make(map[SiteKey]*SiteCount)
 	if cfg.Policy == PolicyCured {
 		m.cured = cfg.Cured
 		m.prog = cfg.Cured.Prog
 		m.lay = cfg.Cured.Lay
 		m.hier = cfg.Cured.Res.Hier
 		m.siteCounts = make([]SiteCount, len(m.cured.Sites)+1)
-		if m.cured.Opt != nil {
-			// Seed site counters with the optimizer's deletions so a site
-			// whose checks were all removed still shows up, attributed.
-			// Sites that survived keep their dense slot; fully-elided ones
-			// (no surviving check, hence no ID) go to the cold side table.
-			for _, se := range m.cured.Opt.Sites {
-				k := SiteKey{Pos: se.Pos.String(), Kind: se.Kind}
-				if id, ok := m.cured.SiteIndex[instrument.SiteInfo{Pos: k.Pos, Kind: k.Kind}]; ok {
-					m.siteCounts[id].Elided += uint64(se.N)
-					continue
-				}
-				sc, ok := m.extraSites[k]
-				if !ok {
-					sc = &SiteCount{}
-					m.extraSites[k] = sc
-				}
-				sc.Elided += uint64(se.N)
-			}
+		for i, s := range m.cured.Sites {
+			m.siteCounts[i+1].Elided = uint64(s.Elided)
 		}
 	} else {
 		m.lay = instrument.RawLayout{}
@@ -565,9 +538,7 @@ func (m *Machine) decorateTrap(t *mem.Trap) {
 		t.Stack = m.stackTrace()
 	}
 	if m.curCheck != nil {
-		if sc := m.siteFor(m.curCheck); sc != nil {
-			sc.Traps++
-		}
+		m.siteFor(m.curCheck).Traps++
 	}
 	if m.rec != nil {
 		site := int32(0)
@@ -599,51 +570,21 @@ func (m *Machine) stackTrace() []string {
 	return out
 }
 
-// siteFor returns the per-site counter of c. The hot path — every check
-// carries the 1-based site ID AssignSites stamped on it — is a single
-// slice index with no allocation; checks without an ID (hand-built
-// programs in tests) fall back to a cold keyed map.
-func (m *Machine) siteFor(c *cil.Check) *SiteCount {
-	if id := int(c.Site); id > 0 && id < len(m.siteCounts) {
-		return &m.siteCounts[id]
-	}
-	if m.extraSites == nil {
-		return nil
-	}
-	k := SiteKey{Pos: c.Pos.String(), Kind: c.Kind}
-	sc, ok := m.extraSites[k]
-	if !ok {
-		sc = &SiteCount{}
-		m.extraSites[k] = sc
-	}
-	return sc
-}
+// siteFor returns the per-site counter of c: a slice index by the site ID
+// AssignSites stamped on every check, with no map and no allocation.
+func (m *Machine) siteFor(c *cil.Check) *SiteCount { return &m.siteCounts[c.Site] }
 
-// finishSites folds the dense site-counter table and the cold side table
-// into the public Counters.Sites map (the shape TopSites and the Result
-// API expose). It runs once, when the run ends.
+// finishSites reports the non-zero rows of the dense site-counter table as
+// Counters.Sites. It runs once, when the run ends.
 func (m *Machine) finishSites() {
-	m.cnt.Sites = make(map[SiteKey]*SiteCount, len(m.extraSites)+8)
 	for id := 1; id < len(m.siteCounts); id++ {
 		sc := m.siteCounts[id]
 		if sc == (SiteCount{}) {
 			continue // never hit, never trapped, nothing elided: not a row
 		}
 		info := m.cured.Sites[id-1]
-		cp := sc
-		m.cnt.Sites[SiteKey{Pos: info.Pos, Kind: info.Kind}] = &cp
-	}
-	for k, sc := range m.extraSites {
-		if *sc == (SiteCount{}) {
-			continue
-		}
-		if have, ok := m.cnt.Sites[k]; ok {
-			have.Hits += sc.Hits
-			have.Traps += sc.Traps
-			have.Elided += sc.Elided
-			continue
-		}
-		m.cnt.Sites[k] = sc
+		m.cnt.Sites = append(m.cnt.Sites, SiteStat{Pos: info.Pos, Kind: info.Kind,
+			Hits: sc.Hits, Traps: sc.Traps, Elided: sc.Elided})
 	}
 }
 

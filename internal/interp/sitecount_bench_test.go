@@ -8,8 +8,7 @@ import (
 
 // The per-check-hit attribution path: a check carrying a static site ID
 // counts into the dense table by index — no map hash, no position-string
-// formatting, no allocation. (The previous implementation keyed a map on
-// SiteKey{Pos: c.Pos.String(), ...}, allocating on every dynamic check.)
+// formatting, no allocation.
 
 func TestSiteForHitPathDoesNotAllocate(t *testing.T) {
 	m := &Machine{siteCounts: make([]SiteCount, 4)}

@@ -7,16 +7,10 @@ import (
 	"time"
 )
 
-// Shed reasons, as they appear in errors, metrics, and the shed-by-reason
-// Prometheus family.
-const (
-	// ShedQueueFull: the bounded admission queue was at capacity.
-	ShedQueueFull = "queue_full"
-	// ShedDeadline: the caller's remaining context deadline could not cover
-	// the observed p50 service time, so admitting the job would only burn a
-	// queue slot on work the client will abandon.
-	ShedDeadline = "deadline"
-)
+// ShedQueueFull is the shed reason, as it appears in errors, metrics, and
+// the shed-by-reason Prometheus family: the bounded admission queue was at
+// capacity.
+const ShedQueueFull = "queue_full"
 
 // ShedError reports that admission control rejected a job instead of
 // queueing it. RetryAfter is the server's estimate of when capacity will
@@ -42,10 +36,9 @@ type svcEstimator struct {
 	idx  int // next write position
 }
 
-// svcMinSamples gates the deadline-rejection policy: with fewer
-// observations than this the estimator reports no p50 and admission never
-// sheds on deadline, so a cold server cannot reject its first clients on
-// garbage estimates.
+// svcMinSamples gates the estimate: with fewer observations than this the
+// estimator reports no p50 and Retry-After falls back to its cold default,
+// so a cold server does not advertise a backoff built on garbage.
 const svcMinSamples = 8
 
 func (s *svcEstimator) observe(d time.Duration) {
@@ -165,9 +158,8 @@ func (a *admitter) RetryAfter() time.Duration {
 
 // arrive makes a job's arrival-time decision, on the caller's goroutine:
 // a free slot (a nil waiter), a shed, or a place in the queue to wait on.
-// deadline (zero = none) is the caller's remaining budget. A job holding a
-// slot MUST release() it when execution finishes.
-func (a *admitter) arrive(deadline time.Time, clientID, traceID string) (*waiter, error) {
+// A job holding a slot MUST release() it when execution finishes.
+func (a *admitter) arrive(clientID, traceID string) (*waiter, error) {
 	a.mu.Lock()
 	// Fast path: a free slot and an empty queue — no policy applies.
 	if a.slots > 0 && a.queued == 0 {
@@ -183,14 +175,6 @@ func (a *admitter) arrive(deadline time.Time, clientID, traceID string) (*waiter
 		a.mu.Unlock()
 		a.m.jobShed(ShedQueueFull, traceID)
 		return nil, err
-	}
-	if !deadline.IsZero() {
-		if p50 := a.svc.p50(); p50 > 0 && time.Until(deadline) < p50 {
-			err := &ShedError{Reason: ShedDeadline, RetryAfter: a.retryAfterLocked()}
-			a.mu.Unlock()
-			a.m.jobShed(ShedDeadline, traceID)
-			return nil, err
-		}
 	}
 	c := a.clientLocked(clientID)
 	start := a.vtime
@@ -289,7 +273,7 @@ func (a *admitter) dispatchLocked() {
 
 // release returns a worker slot and hands it to the next waiter, if any.
 // d is the job's service time (slot occupancy), fed to the estimator that
-// drives deadline rejection and Retry-After.
+// drives Retry-After.
 func (a *admitter) release(d time.Duration) {
 	a.svc.observe(d)
 	a.mu.Lock()

@@ -52,7 +52,7 @@ func drainGate(g *StallGate) (stop func()) {
 }
 
 // primeSvc feeds the admitter's service-time estimator directly so
-// deadline-shedding tests don't depend on real compile timings.
+// Retry-After checks don't depend on real compile timings.
 func primeSvc(r *Runner, d time.Duration) {
 	for i := 0; i < svcMinSamples; i++ {
 		r.adm.svc.observe(d)
@@ -61,8 +61,9 @@ func primeSvc(r *Runner, d time.Duration) {
 
 // TestAdmissionQueueFullShed pins the bounded-queue policy: with the one
 // worker wedged and the queue at capacity, the next arrival is rejected
-// with ShedQueueFull and a positive Retry-After, and the rejection never
-// touches the queue gauges or wait histograms.
+// with ShedQueueFull and a Retry-After of the queue's drain time at the
+// observed p50, and the rejection never touches the queue gauges or wait
+// histograms.
 func TestAdmissionQueueFullShed(t *testing.T) {
 	gate := NewStallGate()
 	r := NewRunner(RunnerOptions{
@@ -88,6 +89,7 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	waitCond(t, 5*time.Second, func() bool { return r.Metrics().QueueDepthNow == 2 }, "queue depth 2")
 
 	// The fourth arrival must shed, synchronously.
+	primeSvc(r, 50*time.Millisecond)
 	res := r.Do(ctx, Job{Name: "shed.c", Source: uniqueSource("qfull", 3)})
 	var shed *ShedError
 	if !errors.As(res.Err, &shed) {
@@ -96,8 +98,9 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	if shed.Reason != ShedQueueFull {
 		t.Fatalf("shed reason = %q, want %q", shed.Reason, ShedQueueFull)
 	}
-	if shed.RetryAfter <= 0 {
-		t.Fatalf("Retry-After = %v, want > 0", shed.RetryAfter)
+	// (queued+1)/workers × p50 = 3 × 50ms.
+	if shed.RetryAfter != 150*time.Millisecond {
+		t.Fatalf("Retry-After = %v, want 150ms", shed.RetryAfter)
 	}
 	if !strings.Contains(res.Err.Error(), res.TraceID) {
 		t.Fatalf("shed error %q does not carry trace ID %s", res.Err, res.TraceID)
@@ -133,71 +136,6 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	}
 	if m.QueueWait.Count != 3 {
 		t.Fatalf("QueueWait recorded %d observations, want 3 (admitted only)", m.QueueWait.Count)
-	}
-}
-
-// TestAdmissionDeadlineShed pins deadline-aware rejection: once the
-// estimator knows p50 service time, a job whose remaining deadline cannot
-// cover it is shed instead of queued — and without enough samples the
-// policy never fires (a cold server must not reject on garbage estimates).
-// Both legs must shed: with coalescing on, the shared execution runs on a
-// detached context, yet admission still judges the caller's deadline.
-func TestAdmissionDeadlineShed(t *testing.T) {
-	for _, coalesce := range []bool{false, true} {
-		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
-			gate := NewStallGate()
-			r := NewRunner(RunnerOptions{Workers: 1, QueueDepth: 8, CoalesceJobs: coalesce,
-				Faults: &Faults{ExecGate: gate.Gate}})
-
-			// Cold estimator: a short deadline alone must not shed (the job should
-			// queue/admit normally while the worker is free).
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			done := make(chan *JobResult, 1)
-			go func() { done <- r.Do(ctx, Job{Name: "cold.c", Source: uniqueSource("dl", 0)}) }()
-			if !gate.WaitArrived(1, 5*time.Second) {
-				t.Fatal("cold-estimator job never admitted")
-			}
-
-			// Prime p50 = 50ms; with the worker occupied, a 5ms-deadline job must
-			// shed with reason "deadline" before entering the queue.
-			primeSvc(r, 50*time.Millisecond)
-			shortCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
-			defer cancel2()
-			res := r.Do(shortCtx, Job{Name: "late.c", Source: uniqueSource("dl", 1)})
-			var shed *ShedError
-			if !errors.As(res.Err, &shed) || shed.Reason != ShedDeadline {
-				t.Fatalf("expected deadline shed, got %v", res.Err)
-			}
-			// Retry-After derives from queue drain time at p50: (queued+1)/workers
-			// * p50 = 50ms with an empty queue.
-			if shed.RetryAfter != 50*time.Millisecond {
-				t.Fatalf("Retry-After = %v, want 50ms", shed.RetryAfter)
-			}
-			if m := r.Metrics(); m.ShedByReason[ShedDeadline] != 1 {
-				t.Fatalf("shed_by_reason = %v, want deadline:1", m.ShedByReason)
-			}
-
-			// A job with a comfortable deadline still queues.
-			okCtx, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel3()
-			done2 := make(chan *JobResult, 1)
-			go func() { done2 <- r.Do(okCtx, Job{Name: "fine.c", Source: uniqueSource("dl", 2)}) }()
-			waitCond(t, 5*time.Second, func() bool { return r.Metrics().QueueDepthNow == 1 }, "queued job")
-
-			gate.Release(1)
-			if res := <-done; res.Err != nil {
-				t.Fatalf("cold job failed: %v", res.Err)
-			}
-			// The queued job only reaches the gate after the first frees the slot.
-			if !gate.WaitArrived(2, 5*time.Second) {
-				t.Fatal("queued job never dispatched")
-			}
-			gate.Release(1)
-			if res := <-done2; res.Err != nil {
-				t.Fatalf("queued job failed: %v", res.Err)
-			}
-		})
 	}
 }
 
@@ -737,7 +675,7 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 	a := newAdmitter(1, 0, m)
 
 	// Occupy the only slot so everything queues.
-	if _, err := a.arrive(time.Time{}, "plug", "t0"); err != nil {
+	if _, err := a.arrive("plug", "t0"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -750,7 +688,7 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 	// it, so arrival order (and therefore seq tie-breaking) is exact.
 	enqueue := func(id string, wantQueued int) {
 		go func() {
-			w, err := a.arrive(time.Time{}, id, "t-"+id)
+			w, err := a.arrive(id, "t-"+id)
 			if err == nil {
 				a.wait(w)
 			}
@@ -792,8 +730,8 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 }
 
 // TestAdmissionPromFamilies checks the exposition contract for the new
-// admission families: always declared, shed-by-reason covering both
-// reasons, and the shed exemplar present only in the OpenMetrics dialect.
+// admission families: always declared, shed-by-reason covering its
+// reason, and the shed exemplar present only in the OpenMetrics dialect.
 func TestAdmissionPromFamilies(t *testing.T) {
 	r := NewRunner(RunnerOptions{Workers: 1, QueueDepth: 3})
 	m := r.Metrics()
@@ -811,7 +749,6 @@ func TestAdmissionPromFamilies(t *testing.T) {
 		"gocured_queue_limit 3",
 		"gocured_admitted_total 0",
 		"gocured_shed_total 2",
-		`gocured_shed_by_reason_total{reason="deadline"} 0`,
 		`gocured_shed_by_reason_total{reason="queue_full"} 2`,
 		"gocured_coalesced_total 5",
 		`gocured_client_queue_depth{client="tenant-a"} 3`,

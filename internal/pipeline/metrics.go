@@ -53,7 +53,7 @@ type Metrics struct {
 
 	// Admission-control decisions: Admitted counts jobs granted a worker
 	// slot; Shed counts jobs rejected without queueing, split by reason
-	// ("queue_full", "deadline"); Coalesced counts jobs served by joining
+	// ("queue_full"); Coalesced counts jobs served by joining
 	// another identical in-flight job instead of queueing at all. The
 	// per-client depths snapshot the fair queue (only clients with waiting
 	// jobs appear).

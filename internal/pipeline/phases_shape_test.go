@@ -174,7 +174,7 @@ func TestJobSpansAreTheClock(t *testing.T) {
 		t.Fatalf("trace buffer holds %d traces, want %d", len(traces), len(results))
 	}
 	var buf bytes.Buffer
-	if err := flight.WriteTrace(&buf, flight.RequestRings(traces)); err != nil {
+	if err := flight.WriteRequestTrace(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := flight.ValidateTrace(buf.Bytes()); err != nil {

@@ -126,9 +126,7 @@ func writeExposition(w io.Writer, m Metrics, om bool) {
 	}
 	{
 		f := counterFamily("gocured_shed_by_reason_total", "Admission rejections by reason.")
-		for _, reason := range []string{ShedDeadline, ShedQueueFull} {
-			fmt.Fprintf(&f.buf, "gocured_shed_by_reason_total{reason=%q} %d\n", reason, m.ShedByReason[reason])
-		}
+		fmt.Fprintf(&f.buf, "gocured_shed_by_reason_total{reason=%q} %d\n", ShedQueueFull, m.ShedByReason[ShedQueueFull])
 	}
 	counter("gocured_coalesced_total", "Jobs served by joining an identical in-flight job.", m.Coalesced)
 	counter("gocured_traceparent_malformed_total", "Inbound W3C traceparent headers discarded as malformed.", m.TraceparentMalformed)

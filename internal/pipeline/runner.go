@@ -153,7 +153,7 @@ type JobResult struct {
 
 // Runner cures and executes Jobs on a bounded worker pool over a shared
 // content-addressed cache, behind an admission scheduler (bounded queue,
-// per-client fair queueing, deadline-aware shedding). One Runner is
+// per-client fair queueing). One Runner is
 // intended to live for the whole process (ccserve) or batch (ccbench); it
 // is safe for concurrent use.
 type Runner struct {
@@ -235,8 +235,8 @@ func (r *Runner) Metrics() Metrics {
 	return m
 }
 
-// Do executes one job: admission (bounded queue, fair queueing, deadline
-// shedding), then execution on a worker slot, blocking until the job
+// Do executes one job: admission (bounded queue, fair queueing), then
+// execution on a worker slot, blocking until the job
 // completes, is shed, times out, or ctx is cancelled. It always returns a
 // non-nil result; inspect Err. A shed job's Err unwraps to *ShedError.
 // With CoalesceJobs on, identical in-flight jobs share one execution.
@@ -260,11 +260,10 @@ func (r *Runner) Do(ctx context.Context, job Job) *JobResult {
 		return r.waitFlight(ctx, job, f, false)
 	}
 	// Arrival-time admission belongs to the leader caller: it runs on this
-	// goroutine and sheds on this caller's deadline. Deciding it before
-	// registering the call means nobody ever coalesces onto a shed job.
+	// goroutine. Deciding it before registering the call means nobody ever
+	// coalesces onto a shed job.
 	enq := time.Now()
-	deadline, _ := ctx.Deadline()
-	w, err := r.adm.arrive(deadline, job.ClientID, job.TraceID)
+	w, err := r.adm.arrive(job.ClientID, job.TraceID)
 	if err != nil {
 		r.flightMu.Unlock()
 		return &JobResult{Name: job.Name, TraceID: job.TraceID,

@@ -20,8 +20,11 @@ func TestNodeForCreatesOncePerOccurrence(t *testing.T) {
 	if n1 == n2 {
 		t.Error("distinct occurrences must get distinct nodes")
 	}
-	if p1.Node == 0 || p1.Node == p2.Node {
+	if g.OccNode(p1).ID == g.OccNode(p2).ID {
 		t.Error("occurrences must record distinct node ids")
+	}
+	if got := g.Prov.Text(n2.ID); got != "int*" {
+		t.Errorf("blame text of n%d = %q, want its type int*", n2.ID, got)
 	}
 	if g.NodeFor(ctypes.IntT()) != nil {
 		t.Error("non-pointer types have no nodes")

@@ -87,8 +87,9 @@ var seedFacts = map[Goal]map[string]bool{
 type Prov struct {
 	Edges []Edge
 	Seeds []Seed
-
-	desc map[int]string // node ID -> human description (type string)
+	// Text renders a node's human description (its type) for blame
+	// chains. It runs only when a chain is rendered; nil renders "?".
+	Text func(node int) string
 
 	once  sync.Once
 	out   map[int][]int // node -> indices into Edges where node == From
@@ -98,7 +99,7 @@ type Prov struct {
 
 // NewProv returns an empty recorder.
 func NewProv() *Prov {
-	return &Prov{desc: make(map[int]string)}
+	return &Prov{}
 }
 
 // AddEdge records one constraint edge.
@@ -117,22 +118,12 @@ func (p *Prov) AddSeed(node int, fact string, pos diag.Pos, why string) {
 	p.Seeds = append(p.Seeds, Seed{Node: node, Fact: fact, Pos: pos, Why: why})
 }
 
-// Describe attaches a human description (the type string) to a node.
-func (p *Prov) Describe(node int, desc string) {
-	if p == nil || node == 0 {
-		return
+// desc renders the description of a node.
+func (p *Prov) desc(node int) string {
+	if p.Text == nil {
+		return "?"
 	}
-	if _, ok := p.desc[node]; !ok {
-		p.desc[node] = desc
-	}
-}
-
-// Desc returns the recorded description of a node.
-func (p *Prov) Desc(node int) string {
-	if d, ok := p.desc[node]; ok {
-		return d
-	}
-	return "?"
+	return p.Text(node)
 }
 
 func (p *Prov) index() {
@@ -270,7 +261,7 @@ func (c *Chain) Render() string {
 	}
 	p := c.prov
 	var b strings.Builder
-	fmt.Fprintf(&b, "n%d (%s) is %s:\n", c.Target, p.Desc(c.Target), c.Goal)
+	fmt.Fprintf(&b, "n%d (%s) is %s:\n", c.Target, p.desc(c.Target), c.Goal)
 	cur := c.Target
 	for _, s := range c.Steps {
 		next := s.Edge.To
@@ -284,7 +275,7 @@ func (c *Chain) Render() string {
 		if s.Edge.Cat == CatUnify {
 			arrow = "=="
 		}
-		fmt.Fprintf(&b, "  n%d %s n%d (%s) [%s: %s]", cur, arrow, next, p.Desc(next), s.Edge.Cat, s.Edge.Rule)
+		fmt.Fprintf(&b, "  n%d %s n%d (%s) [%s: %s]", cur, arrow, next, p.desc(next), s.Edge.Cat, s.Edge.Rule)
 		if s.Edge.Pos.IsValid() {
 			fmt.Fprintf(&b, " at %s", s.Edge.Pos)
 		}

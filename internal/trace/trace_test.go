@@ -16,9 +16,7 @@ func pos(line, col int) diag.Pos {
 // node 3 and an arith seed on node 1.
 func testProv() *Prov {
 	p := NewProv()
-	p.Describe(1, "int*")
-	p.Describe(2, "int*")
-	p.Describe(3, "char*")
+	p.Text = func(n int) string { return [...]string{"?", "int*", "int*", "char*"}[n] }
 	p.AddEdge(1, 2, CatFlow, "assign", pos(4, 2))
 	p.AddEdge(2, 3, CatUnify, "cast-identity", pos(9, 5))
 	p.AddSeed(3, "bad-cast", pos(9, 10), "char* incompatible with int*")
