@@ -431,7 +431,7 @@ func (s *server) handleCure(w http.ResponseWriter, r *http.Request) {
 			// whole seconds (RFC 9110), rounded up so "50ms" doesn't become
 			// an immediate hammering retry loop.
 			w.Header().Set("Retry-After", strconv.FormatInt(retryAfterSeconds(shed.RetryAfter), 10))
-			annotate(r, "client", job.ClientID, "reason", shed.Reason, "retry_after", shed.RetryAfter.String())
+			annotate(r, "client", job.ClientID, "retry_after", shed.RetryAfter.String())
 			writeError(w, r, http.StatusTooManyRequests, "%v", res.Err)
 			return
 		}

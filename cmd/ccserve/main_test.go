@@ -616,7 +616,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // a failed compile, a refused body, a shed and the two requests that forced
 // the shed each write exactly one line, and every /cure line carries its
 // trace ID and status plus what the handler learned (trap, error, shed
-// reason).
+// retry delay).
 func TestCureLogsOneLinePerRequest(t *testing.T) {
 	wedge := make(chan struct{})
 	r := pipeline.NewRunner(pipeline.RunnerOptions{
@@ -689,7 +689,7 @@ func TestCureLogsOneLinePerRequest(t *testing.T) {
 		{"trap.c", "INFO", "trap_kind", 200},
 		{"bad.c", "WARN", "err", 422},
 		{"", "WARN", "err", 400},
-		{"shed.c", "WARN", "reason", 429},
+		{"shed.c", "WARN", "retry_after", 429},
 		{"wedge.c", "INFO", "tier", 200},
 		{"queued.c", "INFO", "tier", 200},
 	} {
@@ -870,8 +870,8 @@ func TestCureShedResponse(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 		t.Fatalf("shed body not JSON: %v\n%s", err, rec.Body.String())
 	}
-	if eb.Code != "too_many_requests" || !strings.Contains(eb.Error, "queue_full") {
-		t.Fatalf("shed body = %+v, want code too_many_requests / queue_full reason", eb)
+	if eb.Code != "too_many_requests" || !strings.Contains(eb.Error, "queue full") {
+		t.Fatalf("shed body = %+v, want code too_many_requests / queue full reason", eb)
 	}
 
 	// Drain: release the wedged request, wait for the queued one to reach
@@ -895,7 +895,6 @@ func TestCureShedResponse(t *testing.T) {
 	}
 	for _, want := range []string{
 		"gocured_shed_total 1",
-		`gocured_shed_by_reason_total{reason="queue_full"} 1`,
 		"gocured_admitted_total 2",
 		"gocured_queue_limit 1",
 	} {

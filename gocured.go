@@ -100,10 +100,6 @@ func ParseMode(s string) (Mode, error) {
 type RunOptions struct {
 	// StepLimit bounds executed instructions (0 = 1e9).
 	StepLimit uint64
-	// StackSize in bytes (0 = 1 MiB).
-	StackSize uint32
-	// Seed drives the deterministic rand().
-	Seed uint64
 	// Stdin supplies bytes for getchar().
 	Stdin []byte
 	// Args are program arguments for main(int argc, char **argv).
@@ -235,8 +231,8 @@ type Stats struct {
 // A Program is safe for concurrent use: Run creates a fresh interpreter
 // (machine state, simulated memory, stack) per call, and the shared
 // analysis artifacts it consults — the solved qualifier graph, the split
-// result, the struct-layout cache, and the RTTI hierarchy — are either
-// frozen read-only after Compile or internally synchronized. Many
+// result and the cured struct layouts — are frozen read-only after
+// Compile, while the RTTI hierarchy is internally synchronized. Many
 // goroutines may Run the same Program (in any mix of Modes) and read
 // Stats, Casts, and Diagnostics at the same time; the pipeline Runner
 // relies on this to execute cached Programs in parallel.
@@ -291,8 +287,6 @@ func (p *Program) Run(mode Mode, opt RunOptions) (*Result, error) {
 func (p *Program) run(mode Mode, opt RunOptions, backend interp.Backend) (*Result, error) {
 	cfg := interp.Config{
 		StepLimit: opt.StepLimit,
-		StackSize: opt.StackSize,
-		Seed:      opt.Seed,
 		Stdin:     opt.Stdin,
 		Args:      opt.Args,
 		Backend:   backend,

@@ -56,8 +56,8 @@ func TestCompileAndRunModes(t *testing.T) {
 // that one compiled Program may be Run from many goroutines: 8 goroutines
 // share a single Program, cycling through every execution mode (plus Stats
 // and Diagnostics reads), and every run must produce the sequential result.
-// Under the race detector this exercises the qualifier-graph, layout-cache,
-// and RTTI-hierarchy synchronization.
+// Under the race detector this exercises the write-free qualifier-graph
+// and cured-layout reads and the RTTI-hierarchy synchronization.
 func TestConcurrentRuns(t *testing.T) {
 	prog, err := gocured.Compile("demo.c", apiDemo, gocured.Options{})
 	if err != nil {

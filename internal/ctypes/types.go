@@ -269,43 +269,45 @@ func Alignof(t *Type) int {
 	return 1
 }
 
-func align(off, a int) int {
-	if a <= 1 {
-		return off
-	}
-	return (off + a - 1) / a * a
-}
-
 func (s *StructInfo) layout() {
 	if s.laidOut || !s.Complete {
 		return
 	}
 	s.laidOut = true
-	s.align = 1
-	if s.Union {
-		for _, f := range s.Fields {
-			f.Offset = 0
-			if a := Alignof(f.Type); a > s.align {
-				s.align = a
-			}
-			if sz := Sizeof(f.Type); sz > s.size {
-				s.size = sz
-			}
-		}
-	} else {
-		off := 0
-		for _, f := range s.Fields {
-			a := Alignof(f.Type)
-			if a > s.align {
-				s.align = a
-			}
-			off = align(off, a)
-			f.Offset = off
-			off += Sizeof(f.Type)
-		}
-		s.size = off
+	var offsets []int
+	offsets, s.size, s.align = Place(s.Fields, s.Union, Sizeof, Alignof)
+	for i, f := range s.Fields {
+		f.Offset = offsets[i]
 	}
-	s.size = align(s.size, s.align)
+}
+
+// Place lays out fields as a struct (each at the next offset aligned for
+// its type) or as a union (all at offset 0), under the given size and
+// alignment of each field type. It returns the field offsets in field
+// order, and the aggregate's size, rounded up to its alignment, which is
+// the largest field alignment (1 with no fields). The C layout and the
+// kind-aware cured layout both use it, each with its own field sizes.
+func Place(fields []*Field, union bool, sizeof, alignof func(*Type) int) (offsets []int, size, align int) {
+	offsets = make([]int, len(fields))
+	align = 1
+	for i, f := range fields {
+		a, sz := alignof(f.Type), sizeof(f.Type)
+		align = max(align, a)
+		if union {
+			size = max(size, sz)
+			continue
+		}
+		offsets[i] = alignUp(size, a)
+		size = offsets[i] + sz
+	}
+	return offsets, alignUp(size, align), align
+}
+
+func alignUp(off, a int) int {
+	if a <= 1 {
+		return off
+	}
+	return (off + a - 1) / a * a
 }
 
 // String renders t in C-like syntax (types read inside-out; we use a

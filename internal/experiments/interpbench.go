@@ -111,7 +111,8 @@ func measureBackends(p *corpus.Program, scale, reps int) InterpBenchRow {
 	time1 := func(backend interp.Backend) (out *interp.Outcome, best, worst float64) {
 		cfg := interp.Config{Backend: backend}
 		// Warmup: the first vm run compiles the bytecode module (cached on
-		// the Unit thereafter); the first tree run warms layout caches.
+		// the Unit thereafter); the first run of either backend also warms
+		// the Go heap and the CPU caches.
 		out, err := u.RunCured(cfg)
 		if err != nil {
 			panic(fmt.Sprintf("interpbench: run %s (%s): %v", p.Name, backend, err))

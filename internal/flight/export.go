@@ -108,8 +108,6 @@ func ringEvents(r *Ring, tid int) []TraceEvent {
 		case EvSample:
 			emit(TraceEvent{Name: "sample", Ph: "i", TS: ts, Pid: 1, Tid: tid, Cat: "sample", S: "t",
 				Args: map[string]any{"pos": e.Pos}})
-		case EvMark:
-			emit(TraceEvent{Name: e.Name, Ph: "i", TS: ts, Pid: 1, Tid: tid, Cat: "mark", S: "t"})
 		}
 	}
 	// Close frames left open (a trap unwinds via panic, so EvRet events

@@ -51,12 +51,10 @@ const (
 	// EvSample: step-sampling profile hit (Pos = source line). Present in
 	// the trace as instants; the aggregate lives in Profile.
 	EvSample
-	// EvMark: one-off instant annotation (Name says what).
-	EvMark
 )
 
 var evNames = [...]string{"check", "trap", "alloc", "free", "pack", "unpack",
-	"call", "ret", "wrapper", "begin", "end", "sample", "mark"}
+	"call", "ret", "wrapper", "begin", "end", "sample"}
 
 func (k EvKind) String() string {
 	if int(k) < len(evNames) {
@@ -181,7 +179,7 @@ func (r *Ring) FormatEvent(e Event) string {
 		detail = fmt.Sprintf("0x%x", e.Arg)
 	case EvPack, EvUnpack:
 		detail = e.Name
-	case EvCall, EvRet, EvWrapper, EvBegin, EvEnd, EvMark:
+	case EvCall, EvRet, EvWrapper, EvBegin, EvEnd:
 		detail = e.Name
 	case EvSample:
 		detail = e.Pos

@@ -15,7 +15,7 @@ import (
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(8, "t")
 	for i := 0; i < 20; i++ {
-		r.Record(Event{TS: uint64(i), Kind: EvMark, Name: fmt.Sprintf("e%d", i)})
+		r.Record(Event{TS: uint64(i), Kind: EvWrapper, Name: fmt.Sprintf("e%d", i)})
 	}
 	if got := r.Len(); got != 8 {
 		t.Fatalf("Len = %d, want 8", got)
@@ -37,8 +37,8 @@ func TestRingWraparound(t *testing.T) {
 
 func TestRingNoWrap(t *testing.T) {
 	r := NewRing(8, "t")
-	r.Record(Event{TS: 1, Kind: EvMark, Name: "a"})
-	r.Record(Event{TS: 2, Kind: EvMark, Name: "b"})
+	r.Record(Event{TS: 1, Kind: EvWrapper, Name: "a"})
+	r.Record(Event{TS: 2, Kind: EvWrapper, Name: "b"})
 	if r.Dropped() != 0 {
 		t.Fatalf("Dropped = %d, want 0", r.Dropped())
 	}
@@ -59,7 +59,7 @@ func TestExportBalancedAfterWraparound(t *testing.T) {
 	r.Record(Event{TS: 4, Kind: EvRet, Name: "main"})
 	// Wrap: push the two Call events out, keep orphan Rets in view.
 	r.Record(Event{TS: 5, Kind: EvCall, Name: "g"})
-	r.Record(Event{TS: 6, Kind: EvMark, Name: "x"})
+	r.Record(Event{TS: 6, Kind: EvWrapper, Name: "x"})
 	// g never returns (simulates a step-limit kill mid-call).
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, []*Ring{r}); err != nil {

@@ -87,7 +87,7 @@ func Cure(prog *cil.Program, res *infer.Result, diags *diag.List) *Cured {
 		cured: &Cured{
 			Prog:           prog,
 			Res:            res,
-			Lay:            newLayout(res),
+			Lay:            newLayout(prog, res),
 			ChecksInserted: make(map[cil.CheckKind]int),
 		},
 		diags: diags,

@@ -1,12 +1,14 @@
 package instrument_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"gocured/internal/cil"
 	"gocured/internal/core"
 	"gocured/internal/corpus"
+	"gocured/internal/ctypes"
 	"gocured/internal/infer"
 	"gocured/internal/instrument"
 	"gocured/internal/interp"
@@ -75,6 +77,29 @@ int main(void) {
 	// must be larger than the C struct.
 	if cured <= raw {
 		t.Errorf("cured sizeof = %d, want > raw %d (SEQ field must widen)", cured, raw)
+	}
+}
+
+// TestCuredLayoutMissPanics pins that the cured layout is read-only after
+// Cure: a struct the program does not define is never laid out on demand,
+// and a query for it panics naming the struct.
+func TestCuredLayoutMissPanics(t *testing.T) {
+	u := build(t, corpus.Prelude+`int main(void) { return 0; }`, infer.Options{})
+	stray := ctypes.NewStruct("stray", false)
+	stray.Define([]*ctypes.Field{{Name: "x", Type: ctypes.IntT()}})
+	for name, query := range map[string]func(){
+		"Sizeof":   func() { u.Cured.Lay.Sizeof(ctypes.StructType(stray)) },
+		"Alignof":  func() { u.Cured.Lay.Alignof(ctypes.StructType(stray)) },
+		"FieldOff": func() { u.Cured.Lay.FieldOff(stray.Fields[0]) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stray") {
+					t.Errorf("%s on a struct the program lacks: recovered %v, want a panic naming stray", name, r)
+				}
+			}()
+			query()
+		}()
 	}
 }
 

@@ -6,8 +6,7 @@
 package instrument
 
 import (
-	"sync"
-
+	"gocured/internal/cil"
 	"gocured/internal/ctypes"
 	"gocured/internal/infer"
 	"gocured/internal/qual"
@@ -33,27 +32,55 @@ func repWords(k qual.Kind) int {
 	}
 }
 
-// Layout is the kind-aware layout oracle for a cured program. It is safe
-// for concurrent use: the struct-layout cache is guarded by a mutex, and
-// everything else it consults (the solved qualifier graph and the split
-// result) is frozen read-only after inference.
+// Layout is the kind-aware layout oracle for a cured program. Cure builds
+// it before curing begins, laying out every struct of the program once;
+// after that a Layout only reads — it, the solved qualifier graph and the
+// split result it consults are all frozen — so any number of goroutines
+// may query it at once.
 type Layout struct {
 	res *infer.Result
-	// mu guards structs; suLayoutOf takes it once per query and recurses
-	// through the *Locked variants so nested struct layouts do not
-	// re-enter the lock.
-	mu sync.Mutex
-	// structs caches cured (non-split) struct layouts.
-	structs map[*ctypes.StructInfo]*suLayout
+	// structs holds the cured size and alignment of every program struct,
+	// and offsets the cured offset of each of their fields.
+	structs map[*ctypes.StructInfo]suLayout
+	offsets map[*ctypes.Field]int
 }
 
-type suLayout struct {
-	size, align int
-	offsets     map[*ctypes.Field]int
+type suLayout struct{ size, align int }
+
+func newLayout(prog *cil.Program, res *infer.Result) *Layout {
+	l := &Layout{
+		res:     res,
+		structs: make(map[*ctypes.StructInfo]suLayout, len(prog.Structs)),
+		offsets: make(map[*ctypes.Field]int),
+	}
+	for _, su := range prog.Structs {
+		l.place(su)
+	}
+	return l
 }
 
-func newLayout(res *infer.Result) *Layout {
-	return &Layout{res: res, structs: make(map[*ctypes.StructInfo]*suLayout)}
+// place computes su's cured layout after that of every struct it holds by
+// value. The placeholder stored first ends the recursion for a struct that
+// holds itself, which the front end accepts and lays out as empty.
+func (l *Layout) place(su *ctypes.StructInfo) {
+	if _, ok := l.structs[su]; ok {
+		return
+	}
+	l.structs[su] = suLayout{align: 1}
+	for _, f := range su.Fields {
+		t := f.Type
+		for t.Kind == ctypes.Array {
+			t = t.Elem
+		}
+		if t.Kind == ctypes.Struct {
+			l.place(t.SU)
+		}
+	}
+	offsets, size, align := ctypes.Place(su.Fields, su.Union, l.Sizeof, l.Alignof)
+	l.structs[su] = suLayout{size: size, align: align}
+	for i, f := range su.Fields {
+		l.offsets[f] = offsets[i]
+	}
 }
 
 // KindOf returns the inferred kind of a pointer occurrence.
@@ -64,19 +91,14 @@ func (l *Layout) IsSplit(t *ctypes.Type) bool {
 	return l.res.Split != nil && l.res.Split.IsSplit(t)
 }
 
-// PtrSize returns the in-memory size of a pointer occurrence.
-func (l *Layout) PtrSize(t *ctypes.Type) int {
-	if l.IsSplit(t) {
-		return ctypes.Word
-	}
-	return repWords(l.KindOf(t)) * ctypes.Word
-}
-
 // Sizeof returns the cured size of an occurrence.
 func (l *Layout) Sizeof(t *ctypes.Type) int {
 	switch t.Kind {
 	case ctypes.Ptr:
-		return l.PtrSize(t)
+		if l.IsSplit(t) {
+			return ctypes.Word
+		}
+		return repWords(l.KindOf(t)) * ctypes.Word
 	case ctypes.Array:
 		if t.Len < 0 {
 			return 0
@@ -86,7 +108,7 @@ func (l *Layout) Sizeof(t *ctypes.Type) int {
 		if l.IsSplit(t) {
 			return ctypes.Sizeof(t)
 		}
-		return l.suLayoutOf(t.SU).size
+		return l.placed(t.SU).size
 	default:
 		return ctypes.Sizeof(t)
 	}
@@ -95,15 +117,13 @@ func (l *Layout) Sizeof(t *ctypes.Type) int {
 // Alignof returns the cured alignment of an occurrence.
 func (l *Layout) Alignof(t *ctypes.Type) int {
 	switch t.Kind {
-	case ctypes.Ptr:
-		return ctypes.Word
 	case ctypes.Array:
 		return l.Alignof(t.Elem)
 	case ctypes.Struct:
 		if l.IsSplit(t) {
 			return ctypes.Alignof(t)
 		}
-		return l.suLayoutOf(t.SU).align
+		return l.placed(t.SU).align
 	default:
 		return ctypes.Alignof(t)
 	}
@@ -113,96 +133,22 @@ func (l *Layout) Alignof(t *ctypes.Type) int {
 // C layout; split inference guarantees every field of a split struct is
 // itself split, so the two layouts agree there.
 func (l *Layout) FieldOff(f *ctypes.Field) int {
-	if f.Parent == nil {
+	if f.Parent == nil || l.IsSplit(f.Type) {
 		return f.Offset
 	}
-	if l.IsSplit(f.Type) {
-		return f.Offset
+	off, ok := l.offsets[f]
+	if !ok {
+		panic("instrument: no cured layout for struct " + f.Parent.Name)
 	}
-	return l.suLayoutOf(f.Parent).offsets[f]
+	return off
 }
 
-func align(off, a int) int {
-	if a <= 1 {
-		return off
+func (l *Layout) placed(su *ctypes.StructInfo) suLayout {
+	s, ok := l.structs[su]
+	if !ok {
+		panic("instrument: no cured layout for struct " + su.Name)
 	}
-	return (off + a - 1) / a * a
-}
-
-func (l *Layout) suLayoutOf(su *ctypes.StructInfo) *suLayout {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.suLayoutLocked(su)
-}
-
-func (l *Layout) suLayoutLocked(su *ctypes.StructInfo) *suLayout {
-	if s, ok := l.structs[su]; ok {
-		return s
-	}
-	s := &suLayout{align: 1, offsets: make(map[*ctypes.Field]int)}
-	l.structs[su] = s // memoize first (recursive structs via pointers)
-	if su.Union {
-		for _, f := range su.Fields {
-			s.offsets[f] = 0
-			if a := l.alignofLocked(f.Type); a > s.align {
-				s.align = a
-			}
-			if sz := l.sizeofLocked(f.Type); sz > s.size {
-				s.size = sz
-			}
-		}
-	} else {
-		off := 0
-		for _, f := range su.Fields {
-			a := l.alignofLocked(f.Type)
-			if a > s.align {
-				s.align = a
-			}
-			off = align(off, a)
-			s.offsets[f] = off
-			off += l.sizeofLocked(f.Type)
-		}
-		s.size = off
-	}
-	s.size = align(s.size, s.align)
 	return s
-}
-
-// sizeofLocked mirrors Sizeof for recursion under the struct-cache lock.
-func (l *Layout) sizeofLocked(t *ctypes.Type) int {
-	switch t.Kind {
-	case ctypes.Ptr:
-		return l.PtrSize(t)
-	case ctypes.Array:
-		if t.Len < 0 {
-			return 0
-		}
-		return t.Len * l.sizeofLocked(t.Elem)
-	case ctypes.Struct:
-		if l.IsSplit(t) {
-			return ctypes.Sizeof(t)
-		}
-		return l.suLayoutLocked(t.SU).size
-	default:
-		return ctypes.Sizeof(t)
-	}
-}
-
-// alignofLocked mirrors Alignof for recursion under the struct-cache lock.
-func (l *Layout) alignofLocked(t *ctypes.Type) int {
-	switch t.Kind {
-	case ctypes.Ptr:
-		return ctypes.Word
-	case ctypes.Array:
-		return l.alignofLocked(t.Elem)
-	case ctypes.Struct:
-		if l.IsSplit(t) {
-			return ctypes.Alignof(t)
-		}
-		return l.suLayoutLocked(t.SU).align
-	default:
-		return ctypes.Alignof(t)
-	}
 }
 
 // RawLayout is the uncured layout oracle: C layout, every pointer thin and
@@ -224,6 +170,3 @@ func (RawLayout) Alignof(t *ctypes.Type) int { return ctypes.Alignof(t) }
 
 // FieldOff returns the C field offset.
 func (RawLayout) FieldOff(f *ctypes.Field) int { return f.Offset }
-
-// PtrSize returns the thin pointer size.
-func (RawLayout) PtrSize(*ctypes.Type) int { return ctypes.Word }

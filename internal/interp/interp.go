@@ -66,10 +66,6 @@ type Config struct {
 	Cured *instrument.Cured
 	// StepLimit bounds executed instructions (0 = default 1e9).
 	StepLimit uint64
-	// StackSize in bytes (0 = default 1 MiB).
-	StackSize uint32
-	// Seed for the deterministic rand().
-	Seed uint64
 	// Stdin provides bytes for getchar()/sim input.
 	Stdin []byte
 	// Args are the program arguments; when main is declared as
@@ -82,11 +78,8 @@ type Config struct {
 	// on every hot path is a single nil comparison.
 	Flight *flight.Ring
 	// Profile, when non-nil, receives a source-line sample every
-	// SamplePeriod interpreter steps.
+	// Profile.Period() interpreter steps.
 	Profile *flight.Profile
-	// SamplePeriod is the step-sampling period (0 = the profile's own
-	// period, or flight.DefaultSamplePeriod).
-	SamplePeriod uint64
 	// Backend selects the execution engine: the bytecode VM (default) or
 	// the tree walker, which only tests and the E11 experiment select.
 	// Both produce bit-identical observable results; the differential
@@ -194,19 +187,10 @@ type Outcome struct {
 	ToolReports []string
 }
 
-type layoutOracle interface {
-	Sizeof(*ctypes.Type) int
-	Alignof(*ctypes.Type) int
-	FieldOff(*ctypes.Field) int
-	KindOf(*ctypes.Type) qual.Kind
-	IsSplit(*ctypes.Type) bool
-	PtrSize(*ctypes.Type) int
-}
-
 // Machine executes one program instance.
 type Machine struct {
 	prog   *cil.Program
-	lay    layoutOracle
+	lay    vm.Layout
 	cured  *instrument.Cured
 	hier   *rtti.Hierarchy
 	policy Policy
@@ -259,10 +243,9 @@ type Machine struct {
 	// rec/prof are the flight recorder hooks; both nil when tracing is
 	// off, so the hot paths pay one branch each. sampleIn counts down
 	// steps to the next profile sample.
-	rec          *flight.Ring
-	prof         *flight.Profile
-	samplePeriod uint64
-	sampleIn     uint64
+	rec      *flight.Ring
+	prof     *flight.Profile
+	sampleIn uint64
 
 	// frames mirrors the call stack for trap attribution; curPos tracks the
 	// source position of the statement being executed and curCheck the check
@@ -339,6 +322,14 @@ type trapPanic struct{ t *mem.Trap }
 // exitPanic unwinds on exit().
 type exitPanic struct{ code int }
 
+const (
+	// stackSize is every machine's stack, in bytes.
+	stackSize = 1 << 20
+	// rngSeed is rand()'s state before any srand(): the LCG's first step
+	// from a zero seed.
+	rngSeed = 1442695040888963407
+)
+
 // New builds a machine for prog under cfg. For PolicyCured, cfg.Cured.Prog
 // must be the (instrumented) program to run.
 func New(prog *cil.Program, cfg Config) *Machine {
@@ -356,7 +347,7 @@ func New(prog *cil.Program, cfg Config) *Machine {
 		stdin:       cfg.Stdin,
 		args:        cfg.Args,
 		stepLimit:   cfg.StepLimit,
-		rngState:    cfg.Seed*6364136223846793005 + 1442695040888963407,
+		rngState:    rngSeed,
 		libcState:   &libcState{},
 	}
 	if m.stepLimit == 0 {
@@ -389,11 +380,7 @@ func New(prog *cil.Program, cfg Config) *Machine {
 	}
 	if cfg.Profile != nil {
 		m.prof = cfg.Profile
-		m.samplePeriod = cfg.SamplePeriod
-		if m.samplePeriod == 0 {
-			m.samplePeriod = cfg.Profile.Period()
-		}
-		m.sampleIn = m.samplePeriod
+		m.sampleIn = cfg.Profile.Period()
 	}
 	m.builtins = builtinTable
 
@@ -401,7 +388,7 @@ func New(prog *cil.Program, cfg Config) *Machine {
 		if cfg.Code != nil {
 			m.code = cfg.Code
 		} else {
-			m.code = vm.Compile(m.prog, vmLayout(m.lay))
+			m.code = vm.Compile(m.prog, m.lay)
 		}
 	}
 	m.layoutGlobals()
@@ -413,16 +400,9 @@ func New(prog *cil.Program, cfg Config) *Machine {
 			m.vmGlobals[i] = m.globals[v]
 		}
 	}
-	stack := cfg.StackSize
-	if stack == 0 {
-		stack = 1 << 20
-	}
-	m.mem.InitStack(stack)
+	m.mem.InitStack(stackSize)
 	return m
 }
-
-// vmLayout narrows the machine's layout oracle to the compiler's view.
-func vmLayout(lay layoutOracle) vm.Layout { return lay }
 
 // Stdout returns the output produced so far.
 func (m *Machine) Stdout() string { return m.stdout.String() }
@@ -486,7 +466,7 @@ func (m *Machine) mainArgs(mainFn *cil.Func) []Value {
 	}
 	args := append([]string{"a.out"}, m.args...)
 	elemTy := argvTy.Elem
-	esz := uint32(m.lay.PtrSize(elemTy))
+	esz := uint32(m.lay.Sizeof(elemTy))
 	blk := m.mem.Alloc(esz*uint32(len(args)+1), mem.RegGlobal, "argv")
 	for i, a := range args {
 		m.store(blk.Addr+uint32(i)*esz, elemTy, m.internString(a))
@@ -705,7 +685,7 @@ func (m *Machine) layoutOf(fn *cil.Func) *funcLayout {
 	// vm.FrameLayout is the single source of truth for frame layout: the
 	// bytecode compiler resolves slots through it at compile time, so both
 	// backends give a variable the same simulated address.
-	size, offsets := vm.FrameLayout(fn, vmLayout(m.lay))
+	size, offsets := vm.FrameLayout(fn, m.lay)
 	fl := &funcLayout{size: size, offsets: offsets}
 	m.funcLayouts[fn] = fl
 	return fl
@@ -808,7 +788,7 @@ func (m *Machine) sampleStep() {
 	if m.sampleIn > 0 {
 		return
 	}
-	m.sampleIn = m.samplePeriod
+	m.sampleIn = m.prof.Period()
 	pos := "<generated>"
 	if m.curPos.IsValid() {
 		pos = fmt.Sprintf("%s:%d", m.curPos.File, m.curPos.Line)

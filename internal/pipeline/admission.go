@@ -7,22 +7,17 @@ import (
 	"time"
 )
 
-// ShedQueueFull is the shed reason, as it appears in errors, metrics, and
-// the shed-by-reason Prometheus family: the bounded admission queue was at
-// capacity.
-const ShedQueueFull = "queue_full"
-
 // ShedError reports that admission control rejected a job instead of
-// queueing it. RetryAfter is the server's estimate of when capacity will
-// exist again (queue depth × observed service rate); ccserve surfaces it
-// as a 429 response with a Retry-After header.
+// queueing it, because the bounded admission queue was full. RetryAfter is
+// the server's estimate of when capacity will exist again (queue depth ×
+// observed service rate); ccserve surfaces it as a 429 response with a
+// Retry-After header.
 type ShedError struct {
-	Reason     string
 	RetryAfter time.Duration
 }
 
 func (e *ShedError) Error() string {
-	return fmt.Sprintf("load shed (%s): retry after %v", e.Reason, e.RetryAfter)
+	return fmt.Sprintf("load shed: queue full, retry after %v", e.RetryAfter)
 }
 
 // svcEstimator tracks recent job service times (worker-slot occupancy:
@@ -171,9 +166,9 @@ func (a *admitter) arrive(clientID, traceID string) (*waiter, error) {
 	// Shed before queueing: a rejected job never occupies a slot in the
 	// bounded queue and never appears in the queue-depth gauge.
 	if a.maxQueue > 0 && a.queued >= a.maxQueue {
-		err := &ShedError{Reason: ShedQueueFull, RetryAfter: a.retryAfterLocked()}
+		err := &ShedError{RetryAfter: a.retryAfterLocked()}
 		a.mu.Unlock()
-		a.m.jobShed(ShedQueueFull, traceID)
+		a.m.jobShed(traceID)
 		return nil, err
 	}
 	c := a.clientLocked(clientID)

@@ -61,7 +61,7 @@ func primeSvc(r *Runner, d time.Duration) {
 
 // TestAdmissionQueueFullShed pins the bounded-queue policy: with the one
 // worker wedged and the queue at capacity, the next arrival is rejected
-// with ShedQueueFull and a Retry-After of the queue's drain time at the
+// with a ShedError and a Retry-After of the queue's drain time at the
 // observed p50, and the rejection never touches the queue gauges or wait
 // histograms.
 func TestAdmissionQueueFullShed(t *testing.T) {
@@ -95,9 +95,6 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	if !errors.As(res.Err, &shed) {
 		t.Fatalf("expected ShedError, got %v", res.Err)
 	}
-	if shed.Reason != ShedQueueFull {
-		t.Fatalf("shed reason = %q, want %q", shed.Reason, ShedQueueFull)
-	}
 	// (queued+1)/workers × p50 = 3 × 50ms.
 	if shed.RetryAfter != 150*time.Millisecond {
 		t.Fatalf("Retry-After = %v, want 150ms", shed.RetryAfter)
@@ -107,8 +104,8 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	}
 
 	m := r.Metrics()
-	if m.Shed != 1 || m.ShedByReason[ShedQueueFull] != 1 {
-		t.Fatalf("shed counters = %d/%v, want 1/queue_full:1", m.Shed, m.ShedByReason)
+	if m.Shed != 1 {
+		t.Fatalf("shed counter = %d, want 1", m.Shed)
 	}
 	if m.ShedExemplar == nil || m.ShedExemplar.TraceID != res.TraceID {
 		t.Fatalf("shed exemplar = %+v, want trace %s", m.ShedExemplar, res.TraceID)
@@ -730,13 +727,12 @@ func TestAdmitterSFQDispatchOrder(t *testing.T) {
 }
 
 // TestAdmissionPromFamilies checks the exposition contract for the new
-// admission families: always declared, shed-by-reason covering its
-// reason, and the shed exemplar present only in the OpenMetrics dialect.
+// admission families: always declared, and the shed exemplar present only
+// in the OpenMetrics dialect.
 func TestAdmissionPromFamilies(t *testing.T) {
 	r := NewRunner(RunnerOptions{Workers: 1, QueueDepth: 3})
 	m := r.Metrics()
 	m.Shed = 2
-	m.ShedByReason = map[string]uint64{ShedQueueFull: 2}
 	m.ShedExemplar = &Exemplar{TraceID: "00000000deadbeef", ValueMS: 1}
 	m.Coalesced = 5
 	m.ClientQueueDepths = map[string]int{"tenant-a": 3}
@@ -749,7 +745,6 @@ func TestAdmissionPromFamilies(t *testing.T) {
 		"gocured_queue_limit 3",
 		"gocured_admitted_total 0",
 		"gocured_shed_total 2",
-		`gocured_shed_by_reason_total{reason="queue_full"} 2`,
 		"gocured_coalesced_total 5",
 		`gocured_client_queue_depth{client="tenant-a"} 3`,
 	} {
@@ -867,9 +862,6 @@ func TestBurstArrivalAccounting(t *testing.T) {
 			admitted++
 		case errors.As(res.Err, &shed):
 			shedCount++
-			if shed.Reason != ShedQueueFull {
-				t.Errorf("job %d shed for %q, want queue_full", i, shed.Reason)
-			}
 		default:
 			t.Errorf("job %d unexpected error: %v", i, res.Err)
 		}

@@ -91,7 +91,6 @@ func goldenSnapshot() Metrics {
 
 		Admitted:          95,
 		Shed:              6,
-		ShedByReason:      map[string]uint64{ShedQueueFull: 6},
 		Coalesced:         9,
 		ClientQueueDepths: map[string]int{"tenant-b": 1, "tenant-a": 2},
 		ShedExemplar:      &Exemplar{TraceID: "00000000000000aa", ValueMS: 1},

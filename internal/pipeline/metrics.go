@@ -52,16 +52,15 @@ type Metrics struct {
 	JobsTimedOut uint64 `json:"jobs_timed_out"`
 
 	// Admission-control decisions: Admitted counts jobs granted a worker
-	// slot; Shed counts jobs rejected without queueing, split by reason
-	// ("queue_full"); Coalesced counts jobs served by joining
+	// slot; Shed counts jobs rejected without queueing because the queue
+	// was full; Coalesced counts jobs served by joining
 	// another identical in-flight job instead of queueing at all. The
 	// per-client depths snapshot the fair queue (only clients with waiting
 	// jobs appear).
-	Admitted          uint64            `json:"admitted"`
-	Shed              uint64            `json:"shed"`
-	ShedByReason      map[string]uint64 `json:"shed_by_reason,omitempty"`
-	Coalesced         uint64            `json:"coalesced"`
-	ClientQueueDepths map[string]int    `json:"client_queue_depths,omitempty"`
+	Admitted          uint64         `json:"admitted"`
+	Shed              uint64         `json:"shed"`
+	Coalesced         uint64         `json:"coalesced"`
+	ClientQueueDepths map[string]int `json:"client_queue_depths,omitempty"`
 	// ShedExemplar links the shed counter to the trace of the most
 	// recently rejected request (OpenMetrics counter exemplar).
 	ShedExemplar *Exemplar `json:"shed_exemplar,omitempty"`
@@ -156,15 +155,11 @@ func (m *metrics) queueAdmitted(depth int64, wait time.Duration, traceID string,
 	m.queueDepthH.ObserveMS(float64(depth), traceID)
 }
 
-// jobShed counts an admission rejection by reason and retains the trace ID
-// as the shed counter's exemplar.
-func (m *metrics) jobShed(reason, traceID string) {
+// jobShed counts an admission rejection and retains the trace ID as the
+// shed counter's exemplar.
+func (m *metrics) jobShed(traceID string) {
 	m.mu.Lock()
 	m.acc.Shed++
-	if m.acc.ShedByReason == nil {
-		m.acc.ShedByReason = make(map[string]uint64)
-	}
-	m.acc.ShedByReason[reason]++
 	if traceID != "" {
 		m.acc.ShedExemplar = &Exemplar{TraceID: traceID, ValueMS: 1}
 	}
@@ -246,7 +241,6 @@ func (m *metrics) snapshot(workers int, cache CacheStats) Metrics {
 	m.mu.Lock()
 	out := m.acc
 	out.TrapsByKind = maps.Clone(out.TrapsByKind)
-	out.ShedByReason = maps.Clone(out.ShedByReason)
 	m.mu.Unlock()
 	out.SnapshotUnixMS = now.UnixMilli()
 	out.UptimeMS = now.Sub(m.start).Milliseconds()

@@ -124,10 +124,6 @@ func writeExposition(w io.Writer, m Metrics, om bool) {
 		}
 		fmt.Fprintln(&f.buf)
 	}
-	{
-		f := counterFamily("gocured_shed_by_reason_total", "Admission rejections by reason.")
-		fmt.Fprintf(&f.buf, "gocured_shed_by_reason_total{reason=%q} %d\n", ShedQueueFull, m.ShedByReason[ShedQueueFull])
-	}
 	counter("gocured_coalesced_total", "Jobs served by joining an identical in-flight job.", m.Coalesced)
 	counter("gocured_traceparent_malformed_total", "Inbound W3C traceparent headers discarded as malformed.", m.TraceparentMalformed)
 	if len(m.ClientQueueDepths) > 0 {

@@ -76,7 +76,7 @@ func TestCompilePanicsNamingFunction(t *testing.T) {
 // dumps and the opcode-coverage test name each opcode correctly.
 func TestOpNames(t *testing.T) {
 	seen := map[string]vm.Op{}
-	for op := vm.OpNop; op < vm.NumOps; op++ {
+	for op := vm.Op(0); op < vm.NumOps; op++ {
 		name := op.String()
 		if name == "op?" || name == "" {
 			t.Errorf("opcode %d has no name", op)

@@ -116,7 +116,7 @@ func TestFusionComplete(t *testing.T) {
 	}
 	var lines []string
 	total := 0
-	for op := vm.OpNop; op < vm.NumOps; op++ {
+	for op := vm.Op(0); op < vm.NumOps; op++ {
 		if counts[op] > 0 {
 			lines = append(lines, fmt.Sprintf("%-24s %6d", op, counts[op]))
 			total += counts[op]

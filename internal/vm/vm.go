@@ -59,15 +59,13 @@ type Op uint8
 // Opcodes. Operand meanings are given per opcode; A is usually the
 // destination register, B/C sources, D a pool index.
 const (
-	OpNop Op = iota
-
 	// Control flow and accounting.
-	OpStep      // one statement step; A = Poss index to set curPos (-1: keep)
-	OpBackEdge  // loop back-edge: counts against the step limit, no cost
-	OpJump      // pc = A
-	OpJumpFalse // if !truthy(reg B): pc = A
-	OpJumpEq    // if reg B as int == Consts[C]: pc = A (switch dispatch)
-	OpReturn    // return reg A (-1: return zero value)
+	OpStep      Op = iota // one statement step; A = Poss index to set curPos (-1: keep)
+	OpBackEdge            // loop back-edge: counts against the step limit, no cost
+	OpJump                // pc = A
+	OpJumpFalse           // if !truthy(reg B): pc = A
+	OpJumpEq              // if reg B as int == Consts[C]: pc = A (switch dispatch)
+	OpReturn              // return reg A (-1: return zero value)
 
 	// Constants.
 	OpConstInt   // reg A = Consts[B]
@@ -202,7 +200,7 @@ const (
 )
 
 var opNames = [...]string{
-	"nop", "step", "backedge", "jump", "jumpfalse", "jumpeq", "return",
+	"step", "backedge", "jump", "jumpfalse", "jumpeq", "return",
 	"const", "fconst", "str", "fnaddr",
 	"addrlocal", "addrglobal", "addrmem", "fieldoff", "addrof",
 	"load", "store", "loadlocal", "storelocal", "loadglobal", "storeglobal", "aggcopy",
