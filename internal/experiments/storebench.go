@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"gocured"
 	"gocured/internal/corpus"
-	"gocured/internal/pipeline"
+	"gocured/internal/provenance"
 	"gocured/internal/store"
 )
 
-// E12: artifact-store warmth. Every corpus program is compiled three times
-// against one persistent chunk store:
+// E12: artifact-store warmth. Every corpus program is compiled against one
+// persistent chunk store, in storeReps repetitions:
 //
 //	cold   an empty (or pre-warmed — see the CI gate) store: per-function
 //	       summaries are recorded and written as chunks
@@ -24,22 +26,34 @@ import (
 //	       replay from disk instead of being re-collected
 //	edit   a one-line edit to one function body: only that function (plus
 //	       any unstorable ones) re-cures; the rest replay
+//	plain  gocured.Compile of the edited source with no store, so the file
+//	       states whether the store pays for an edit
 //
-// The warm and edit builds are verified bit-identical to the cold one
-// (same Stats) — the store changes compile time, never results. Running
-// ccbench -store-json twice against the same directory is the CI
-// warm-restart gate: the second run's "cold" phase is served entirely from
-// the first run's chunks, so its cold_recured must equal unstorable (zero
-// recompiles of storable functions across a process restart).
+// Each repetition addresses its own key space (its index is folded into the
+// artifacts' version) and carries its own edit constant, so every
+// repetition's cold and edit compiles are genuine. Timed columns are the
+// median over the repetitions, with the slowest beside it; counts come from
+// the first repetition. The warm and edit builds are verified bit-identical
+// to a store-less one (same Stats) — the store changes compile time, never
+// results. Running ccbench -store-json twice against the same directory is
+// the CI warm-restart gate: the second run's "cold" phase is served entirely
+// from the first run's chunks, so its cold_recured must equal unstorable
+// (zero recompiles of storable functions across a process restart).
 
-// StoreBenchRow is one program's cold/warm/edit measurement.
+// storeReps is the number of repetitions behind each timed column.
+const storeReps = 5
+
+// StoreBenchRow is one program's cold/warm/edit/plain measurement. Times
+// are milliseconds: the median over the repetitions, and the slowest.
 type StoreBenchRow struct {
 	Name  string `json:"name"`
 	Funcs int    `json:"funcs"`
 
 	ColdMS      float64 `json:"cold_ms"`
+	ColdMSMax   float64 `json:"cold_ms_max"`
 	ColdRecured int     `json:"cold_recured"`
 	WarmMS      float64 `json:"warm_ms"`
+	WarmMSMax   float64 `json:"warm_ms_max"`
 	WarmLoaded  int     `json:"warm_loaded"`
 	WarmRecured int     `json:"warm_recured"`
 	// Unstorable functions re-cure on every compile (an operand occurrence
@@ -52,6 +66,9 @@ type StoreBenchRow struct {
 	// Edit phase, for programs the one-line edit applies to.
 	Edited      bool    `json:"edited,omitempty"`
 	EditMS      float64 `json:"edit_ms,omitempty"`
+	EditMSMax   float64 `json:"edit_ms_max,omitempty"`
+	PlainMS     float64 `json:"plain_ms,omitempty"`
+	PlainMSMax  float64 `json:"plain_ms_max,omitempty"`
 	EditRecured int     `json:"edit_recured,omitempty"`
 	// EditPct is the fraction of functions re-cured by the edit (the
 	// incremental-re-curing acceptance bar is < 10% for programs with at
@@ -62,7 +79,10 @@ type StoreBenchRow struct {
 // StoreBench is the full artifact-store measurement, serialized to
 // BENCH_store.json.
 type StoreBench struct {
+	// Host records the ccbench build's revision and the machine measured.
+	provenance.Host
 	Scale int             `json:"scale"`
+	Reps  int             `json:"reps"`
 	Rows  []StoreBenchRow `json:"rows"`
 
 	TotalFuncs  int `json:"total_funcs"`
@@ -76,32 +96,35 @@ type StoreBench struct {
 	EditPct     float64 `json:"edit_pct"`
 
 	GeomeanWarmSpeedup float64 `json:"geomean_warm_speedup"`
+	// EditOverPlain is the summed edit_ms over the summed plain_ms: above
+	// 1, an edit costs more with the store than without it.
+	EditOverPlain float64 `json:"edit_over_plain"`
 
 	// Store snapshots the chunk store after the measurement.
 	Store store.Stats `json:"store"`
 }
 
-// editSource applies the canonical one-line edit: a dead statement spliced
-// into one function body on an existing line, so no other function's
-// fingerprint (which includes positions) shifts. Returns ok=false when the
-// program has no splice point.
-func editSource(src string) (string, bool) {
+// editSource applies the canonical one-line edit with constant n: a dead
+// statement spliced into one function body on an existing line, so no
+// other function's fingerprint (which includes positions) shifts. Returns
+// ok=false when the program has no splice point.
+func editSource(src string, n int) (string, bool) {
 	if !strings.Contains(src, "int i;") {
 		return "", false
 	}
-	return strings.Replace(src, "int i;", "int i; if (0) { i = 1; }", 1), true
+	return strings.Replace(src, "int i;", fmt.Sprintf("int i; if (0) { i = %d; }", n), 1), true
 }
 
 // MeasureStore compiles every corpus program cold/warm/edited against the
 // chunk store rooted at dir (created if needed; pass an existing directory
 // to measure a pre-warmed store).
 func MeasureStore(cfg Config, dir string) (*StoreBench, error) {
-	arts, err := pipeline.OpenStore(dir)
+	s, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
 	progs := corpus.All()
-	bench := &StoreBench{Scale: cfg.Scale, Rows: make([]StoreBenchRow, len(progs))}
+	bench := &StoreBench{Host: provenance.Here(), Scale: cfg.Scale, Reps: storeReps, Rows: make([]StoreBenchRow, len(progs))}
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 1
@@ -114,12 +137,12 @@ func MeasureStore(cfg Config, dir string) (*StoreBench, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			bench.Rows[i] = measureStoreOne(arts, p, cfg.Scale)
+			bench.Rows[i] = measureStoreOne(s, p, cfg.Scale)
 		}(i, p)
 	}
 	wg.Wait()
 
-	logSpeedups := 0.0
+	logSpeedups, editMS, plainMS := 0.0, 0.0, 0.0
 	for _, r := range bench.Rows {
 		bench.TotalFuncs += r.Funcs
 		bench.ColdRecured += r.ColdRecured
@@ -129,6 +152,8 @@ func MeasureStore(cfg Config, dir string) (*StoreBench, error) {
 		if r.Edited {
 			bench.EditedFuncs += r.Funcs
 			bench.EditRecured += r.EditRecured
+			editMS += r.EditMS
+			plainMS += r.PlainMS
 		}
 		logSpeedups += math.Log(r.WarmSpeedup)
 	}
@@ -138,54 +163,87 @@ func MeasureStore(cfg Config, dir string) (*StoreBench, error) {
 	if bench.EditedFuncs > 0 {
 		bench.EditPct = 100 * float64(bench.EditRecured) / float64(bench.EditedFuncs)
 	}
-	bench.Store = arts.Store().Stats()
+	if plainMS > 0 {
+		bench.EditOverPlain = editMS / plainMS
+	}
+	bench.Store = s.Stats()
 	return bench, nil
 }
 
-func measureStoreOne(arts *store.Artifacts, p *corpus.Program, scale int) StoreBenchRow {
+// medianMax returns the median and the maximum of xs.
+func medianMax(xs []float64) (float64, float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	med := s[n/2]
+	if n%2 == 0 {
+		med = (s[n/2-1] + s[n/2]) / 2
+	}
+	return med, s[n-1]
+}
+
+func measureStoreOne(s *store.Store, p *corpus.Program, scale int) StoreBenchRow {
 	src := p.Source
 	if scale > 0 {
 		src = corpus.WithScale(p, scale)
 	}
 	opts := defaultOpts(p)
-	sums := arts.ForOptions(opts)
-	build := func(source string) (*gocured.Program, gocured.IncrStats, float64) {
+	timed := func(what string, compile func() (*gocured.Program, error)) (*gocured.Program, float64) {
 		t0 := time.Now()
-		prog, err := gocured.CompileStored(p.Name+".c", source, opts, sums)
+		prog, err := compile()
 		ms := float64(time.Since(t0).Microseconds()) / 1000
 		if err != nil {
-			panic(fmt.Sprintf("storebench: build %s: %v", p.Name, err))
+			panic(fmt.Sprintf("storebench: %s %s: %v", what, p.Name, err))
 		}
-		return prog, prog.IncrStats(), ms
+		return prog, ms
 	}
-	cold, coldIncr, coldMS := build(src)
-	warm, warmIncr, warmMS := build(src)
-	if warm.Stats() != cold.Stats() {
-		panic(fmt.Sprintf("storebench: %s warm build diverges from cold", p.Name))
-	}
-	row := StoreBenchRow{
-		Name:        p.Name,
-		Funcs:       coldIncr.Funcs,
-		ColdMS:      coldMS,
-		ColdRecured: coldIncr.Recured,
-		WarmMS:      warmMS,
-		WarmLoaded:  warmIncr.Loaded,
-		WarmRecured: warmIncr.Recured,
-		Unstorable:  warmIncr.Unstorable,
-		WarmSpeedup: coldMS / math.Max(warmMS, 0.001),
-	}
-	if edited, ok := editSource(src); ok {
-		t0 := time.Now()
-		prog, err := gocured.CompileStored(p.Name+".c", edited, opts, sums)
-		row.EditMS = float64(time.Since(t0).Microseconds()) / 1000
-		if err != nil {
-			panic(fmt.Sprintf("storebench: build edited %s: %v", p.Name, err))
+	row := StoreBenchRow{Name: p.Name}
+	var cold, warm, edit, plain []float64
+	for rep := 0; rep < storeReps; rep++ {
+		sums := store.NewArtifacts(s, fmt.Sprintf("%s/rep%d", gocured.Version, rep), runtime.Version()).ForOptions(opts)
+		stored := func(source string) func() (*gocured.Program, error) {
+			return func() (*gocured.Program, error) { return gocured.CompileStored(p.Name+".c", source, opts, sums) }
 		}
-		row.Edited = true
-		row.EditRecured = prog.IncrStats().Recured
-		if row.Funcs > 0 {
-			row.EditPct = 100 * float64(row.EditRecured) / float64(row.Funcs)
+		coldProg, coldMS := timed("build", stored(src))
+		warmProg, warmMS := timed("build", stored(src))
+		if warmProg.Stats() != coldProg.Stats() {
+			panic(fmt.Sprintf("storebench: %s warm build diverges from cold", p.Name))
 		}
+		cold, warm = append(cold, coldMS), append(warm, warmMS)
+		if rep == 0 {
+			coldIncr, warmIncr := coldProg.IncrStats(), warmProg.IncrStats()
+			row.Funcs = coldIncr.Funcs
+			row.ColdRecured = coldIncr.Recured
+			row.WarmLoaded = warmIncr.Loaded
+			row.WarmRecured = warmIncr.Recured
+			row.Unstorable = warmIncr.Unstorable
+		}
+		edited, ok := editSource(src, rep+1)
+		if !ok {
+			continue
+		}
+		editProg, editMS := timed("build edited", stored(edited))
+		plainProg, plainMS := timed("plain build edited", func() (*gocured.Program, error) {
+			return gocured.Compile(p.Name+".c", edited, opts)
+		})
+		if editProg.Stats() != plainProg.Stats() {
+			panic(fmt.Sprintf("storebench: %s edited build diverges from a store-less one", p.Name))
+		}
+		edit, plain = append(edit, editMS), append(plain, plainMS)
+		if rep == 0 {
+			row.Edited = true
+			row.EditRecured = editProg.IncrStats().Recured
+			if row.Funcs > 0 {
+				row.EditPct = 100 * float64(row.EditRecured) / float64(row.Funcs)
+			}
+		}
+	}
+	row.ColdMS, row.ColdMSMax = medianMax(cold)
+	row.WarmMS, row.WarmMSMax = medianMax(warm)
+	row.WarmSpeedup = row.ColdMS / math.Max(row.WarmMS, 0.001)
+	if row.Edited {
+		row.EditMS, row.EditMSMax = medianMax(edit)
+		row.PlainMS, row.PlainMSMax = medianMax(plain)
 	}
 	return row
 }
@@ -204,28 +262,30 @@ func StoreWarmth(cfg Config) *Table {
 	t := &Table{
 		ID:    "E12",
 		Title: "artifact store: cold vs warm vs one-line-edit compiles",
-		Note: "warm replays per-function summaries from the chunk store;\n" +
-			"edit re-cures only the edited function (- = program has no edit point)",
+		Note: fmt.Sprintf("median-of-%d wall times; warm replays per-function summaries from the chunk store;\n"+
+			"edit re-cures only the edited function, plain compiles the edit with no store\n"+
+			"(- = program has no edit point)", b.Reps),
 		Header: []string{"program", "funcs", "cold ms", "warm ms", "warm recured",
-			"edit ms", "edit recured", "edit %"},
+			"edit ms", "plain ms", "edit recured", "edit %"},
 	}
 	for _, r := range b.Rows {
-		editMS, editN, editPct := "-", "-", "-"
+		editMS, plainMS, editN, editPct := "-", "-", "-", "-"
 		if r.Edited {
 			editMS = fmt.Sprintf("%.1f", r.EditMS)
+			plainMS = fmt.Sprintf("%.1f", r.PlainMS)
 			editN = fmt.Sprint(r.EditRecured)
 			editPct = fmt.Sprintf("%.0f", r.EditPct)
 		}
 		t.Rows = append(t.Rows, []string{
 			r.Name, fmt.Sprint(r.Funcs),
 			fmt.Sprintf("%.1f", r.ColdMS), fmt.Sprintf("%.1f", r.WarmMS),
-			fmt.Sprint(r.WarmRecured), editMS, editN, editPct,
+			fmt.Sprint(r.WarmRecured), editMS, plainMS, editN, editPct,
 		})
 	}
 	t.Rows = append(t.Rows, []string{
 		"TOTAL", fmt.Sprint(b.TotalFuncs), "", "",
-		fmt.Sprint(b.WarmRecured), "", fmt.Sprint(b.EditRecured),
-		fmt.Sprintf("%.0f", b.EditPct),
+		fmt.Sprint(b.WarmRecured), "", fmt.Sprintf("edit/plain %.2fx", b.EditOverPlain),
+		fmt.Sprint(b.EditRecured), fmt.Sprintf("%.0f", b.EditPct),
 	})
 	return t
 }

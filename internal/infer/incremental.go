@@ -51,10 +51,11 @@ func InferIncremental(prog *cil.Program, opts Options, diags *diag.List, src Sum
 	in := newInferrer(prog, opts, diags)
 	in.prologue()
 
-	decls := FingerprintDecls(prog)
+	fp := newFingerprinter(prog)
+	decls := fp.Decls(prog)
 	bodies := make(map[string][sha256.Size]byte, len(prog.Funcs))
 	for _, f := range prog.Funcs {
-		bodies[f.Name] = FingerprintFunc(f)
+		bodies[f.Name] = fp.Func(f)
 	}
 	tab := newOccTable(prog)
 
@@ -99,16 +100,20 @@ func (in *inferrer) applySummary(sum *FuncSummary, tab *occTable, casts []*cil.C
 	if sum.NCasts != int32(len(casts)) {
 		return false
 	}
-	occs := make([]*ctypes.Type, len(sum.Occs))
-	for i, o := range sum.Occs {
-		if o.Owner < 0 || int(o.Owner) >= len(sum.Owners) {
-			return false
-		}
-		t, ok := tab.byName[OccRef{Owner: sum.Owners[o.Owner], Idx: o.Idx}]
+	owned := make([][]*ctypes.Type, len(sum.Owners))
+	for i, owner := range sum.Owners {
+		ts, ok := tab.byOwner[owner]
 		if !ok {
 			return false
 		}
-		occs[i] = t
+		owned[i] = ts
+	}
+	occs := make([]*ctypes.Type, len(sum.Occs))
+	for i, o := range sum.Occs {
+		if o.Owner < 0 || int(o.Owner) >= len(owned) || o.Idx < 0 || int(o.Idx) >= len(owned[o.Owner]) {
+			return false
+		}
+		occs[i] = owned[o.Owner][o.Idx]
 	}
 	nOccs, nStrs := int32(len(occs)), int32(len(sum.Strs))
 	strOK := func(ix int32) bool { return ix >= -1 && ix < nStrs }

@@ -18,9 +18,9 @@
 //     detection) depends only on the function body, the declarations it
 //     references, and the inference options — never on qualifier-graph
 //     state. All of those inputs are covered by the summary's content hash
-//     (FingerprintFunc/FingerprintDecls + the store key), so a hash match
-//     guarantees the recorded stream is exactly what a fresh collection
-//     would emit.
+//     (the body and declaration fingerprints + the store key), so a hash
+//     match guarantees the recorded stream is exactly what a fresh
+//     collection would emit.
 //
 //  2. Graph-state-dependent values are re-derived at replay time, at the
 //     same sequence point. Ops name type occurrences, not node IDs; a
@@ -32,7 +32,7 @@
 package infer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"gocured/internal/cil"
@@ -44,9 +44,9 @@ import (
 // OccRef names one type occurrence symbolically: the idx-th occurrence
 // visited while enumerating the owner scope. Owners are per-declaration
 // ("su:<i>:<name>", "g:<var>", "ga:<var>", "x:<extern>", "xa:<extern>",
-// "fs:<func>") or per-function-body ("fn:<func>"); indices are assigned
-// independently per owner so that an edit to one function cannot shift
-// another function's indices.
+// "fs:<func>", "fa:<callee>") or per-function-body ("fn:<func>"); indices
+// are assigned independently per owner so that an edit to one function
+// cannot shift another function's indices.
 type OccRef struct {
 	Owner string
 	Idx   int32
@@ -54,53 +54,85 @@ type OccRef struct {
 
 // occTable is the bidirectional occurrence naming built from one parse.
 type occTable struct {
-	byType map[*ctypes.Type]OccRef // first-touch canonical name
-	byName map[OccRef]*ctypes.Type
+	byOwner map[string][]*ctypes.Type // each owner's occurrences, by index
+	byType  map[*ctypes.Type]occSlot
+
+	// The owner being enumerated: its name, its number (owners count
+	// from 1), its occurrences so far, and array decays not yet walked.
+	owner   string
+	n       int32
+	occs    []*ctypes.Type
+	pending []*ctypes.Type
 }
 
-// ownerEnum enumerates one owner scope's occurrences. Dedup is per-owner:
-// an occurrence reachable from two roots of the same owner gets one index,
-// but an occurrence already claimed by an earlier owner still gets an
-// index here too (byName must resolve it without consulting other owners).
-type ownerEnum struct {
-	tab   *occTable
-	owner string
-	n     int32
-	seen  map[*ctypes.Type]bool
+// occSlot holds an occurrence's first-touch canonical name and the number
+// of the last owner that enumerated it. Dedup is per owner: an occurrence
+// reachable from two roots of one owner gets one index, but an occurrence
+// already claimed by an earlier owner still gets an index in a later one
+// (byOwner must resolve it without consulting other owners).
+type occSlot struct {
+	name OccRef
+	last int32
 }
 
-func (tab *occTable) enum(owner string) *ownerEnum {
-	return &ownerEnum{tab: tab, owner: owner, seen: make(map[*ctypes.Type]bool)}
+func (tab *occTable) begin(owner string) {
+	tab.owner, tab.occs = owner, nil
+	tab.n++
 }
 
-func (e *ownerEnum) root(t *ctypes.Type) {
+func (tab *occTable) root(t *ctypes.Type) {
+	tab.walk(t)
+	for len(tab.pending) > 0 {
+		cur := tab.pending[0]
+		tab.pending = tab.pending[1:]
+		tab.walk(cur)
+	}
+}
+
+func (tab *occTable) end() { tab.byOwner[tab.owner] = tab.occs }
+
+// single enumerates an owner with one root.
+func (tab *occTable) single(owner string, t *ctypes.Type) {
+	tab.begin(owner)
+	tab.root(t)
+	tab.end()
+}
+
+// walk names the occurrences reachable from t in pre-order without
+// entering a struct: a struct's field occurrences belong to the owner of
+// its declaration, which the declaration fingerprint covers. The parser
+// lists every struct it creates, so every field occurrence has that owner.
+func (tab *occTable) walk(t *ctypes.Type) {
 	if t == nil {
 		return
 	}
-	// Array occurrences carry a cached per-occurrence decay pointer that is
-	// shared by every function decaying that array (e.g. a struct field
-	// `int d[8]` used as `s->d`). Enumerate it eagerly under the same owner
-	// so its existence — and therefore every index in this owner — does not
-	// depend on which function bodies happen to decay it.
-	pending := []*ctypes.Type{t}
-	for len(pending) > 0 {
-		cur := pending[0]
-		pending = pending[1:]
-		ctypes.Walk(cur, func(u *ctypes.Type) {
-			if e.seen[u] {
-				return
-			}
-			e.seen[u] = true
-			ref := OccRef{Owner: e.owner, Idx: e.n}
-			e.n++
-			e.tab.byName[ref] = u
-			if _, ok := e.tab.byType[u]; !ok {
-				e.tab.byType[u] = ref
-			}
-			if u.Kind == ctypes.Array {
-				pending = append(pending, u.Decay())
-			}
-		})
+	slot, ok := tab.byType[t]
+	if ok && slot.last == tab.n {
+		return
+	}
+	if !ok {
+		slot.name = OccRef{Owner: tab.owner, Idx: int32(len(tab.occs))}
+	}
+	slot.last = tab.n
+	tab.byType[t] = slot
+	tab.occs = append(tab.occs, t)
+	switch t.Kind {
+	case ctypes.Array:
+		// Array occurrences carry a cached per-occurrence decay pointer
+		// that is shared by every function decaying that array (e.g. a
+		// struct field `int d[8]` used as `s->d`). Enumerate it eagerly
+		// under the same owner so its existence — and therefore every
+		// index in this owner — does not depend on which function bodies
+		// happen to decay it.
+		tab.pending = append(tab.pending, t.Decay())
+		tab.walk(t.Elem)
+	case ctypes.Ptr:
+		tab.walk(t.Elem)
+	case ctypes.Func:
+		tab.walk(t.Fn.Ret)
+		for _, p := range t.Fn.Params {
+			tab.walk(p)
+		}
 	}
 }
 
@@ -142,13 +174,13 @@ func forEachFuncType(f *cil.Func, visit func(*ctypes.Type)) {
 // scopes follow in program order.
 func newOccTable(prog *cil.Program) *occTable {
 	tab := &occTable{
-		byType: make(map[*ctypes.Type]OccRef),
-		byName: make(map[OccRef]*ctypes.Type),
+		byOwner: make(map[string][]*ctypes.Type),
+		byType:  make(map[*ctypes.Type]occSlot),
 	}
 	for i, su := range prog.Structs {
-		e := tab.enum(fmt.Sprintf("su:%d:%s", i, su.Name))
+		tab.begin("su:" + strconv.Itoa(i) + ":" + su.Name)
 		for _, f := range su.Fields {
-			e.root(f.Type)
+			tab.root(f.Type)
 			// The per-field address occurrence (shared by every &s.f in the
 			// program) is created lazily by sema; create it here so the
 			// owner's shape is the same whether or not any body takes the
@@ -156,19 +188,20 @@ func newOccTable(prog *cil.Program) *occTable {
 			if f.AddrType == nil {
 				f.AddrType = ctypes.PointerTo(f.Type)
 			}
-			e.root(f.AddrType)
+			tab.root(f.AddrType)
 		}
+		tab.end()
 	}
 	for _, g := range prog.Globals {
-		tab.enum("g:" + g.Var.Name).root(g.Var.Type)
-		tab.enum("ga:" + g.Var.Name).root(g.Var.AddrType)
+		tab.single("g:"+g.Var.Name, g.Var.Type)
+		tab.single("ga:"+g.Var.Name, g.Var.AddrType)
 	}
 	for _, v := range prog.Externs {
-		tab.enum("x:" + v.Name).root(v.Type)
-		tab.enum("xa:" + v.Name).root(v.AddrType)
+		tab.single("x:"+v.Name, v.Type)
+		tab.single("xa:"+v.Name, v.AddrType)
 	}
 	for _, f := range prog.Funcs {
-		tab.enum("fs:" + f.Name).root(f.Type)
+		tab.single("fs:"+f.Name, f.Type)
 	}
 	// Function-address occurrences: every call site of a defined function
 	// shares the function symbol's AddrType (FnConst.Ty), which is not
@@ -179,13 +212,14 @@ func newOccTable(prog *cil.Program) *occTable {
 		cil.WalkFuncExprs(f, func(e cil.Expr) {
 			if fc, ok := e.(*cil.FnConst); ok && !fnAddr[fc.Name] {
 				fnAddr[fc.Name] = true
-				tab.enum("fa:" + fc.Name).root(fc.Ty)
+				tab.single("fa:"+fc.Name, fc.Ty)
 			}
 		})
 	}
 	for _, f := range prog.Funcs {
-		e := tab.enum("fn:" + f.Name)
-		forEachFuncType(f, e.root)
+		tab.begin("fn:" + f.Name)
+		forEachFuncType(f, tab.root)
+		tab.end()
 	}
 	return tab
 }
@@ -313,7 +347,8 @@ func (r *recorder) str(s string) int32 {
 }
 
 func (r *recorder) occ(t *ctypes.Type) int32 {
-	ref, ok := r.tab.byType[t]
+	slot, ok := r.tab.byType[t]
+	ref := slot.name
 	if !ok {
 		r.bad = true
 		return -1

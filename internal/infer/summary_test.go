@@ -212,3 +212,63 @@ func TestSummaryOneLineEdit(t *testing.T) {
 		}
 	}
 }
+
+// keySoundBase is the program TestSummaryKeySound edits: no function body
+// touches struct A's field q, or anything of struct B but its a field.
+const keySoundBase = `
+struct A { int *p; int n; char *q; };
+struct B { struct A *a; int k; };
+int get(struct A *a) { return *a->p + a->n; }
+int main(void) {
+  struct A x; struct B b; int v;
+  v = 3; x.p = &v; x.n = 1; b.a = &x;
+  return get(b.a);
+}`
+
+// TestSummaryKeySound asserts that a change outside every function body
+// reaches every chunk key. Body fingerprints name a struct by its
+// declaration index and do not expand its fields, so only the declaration
+// fingerprint sees a field's type or annotation, or the declaration order.
+func TestSummaryKeySound(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		// sameBodies: the change is invisible to every body fingerprint,
+		// so the declaration fingerprint alone must catch it.
+		sameBodies bool
+	}{
+		// `long` is `int` in this ILP32 model, so the type change is to
+		// `long long`.
+		{"field type", strings.Replace(keySoundBase, "int n; char *q;", "int n; long long *q;", 1), true},
+		{"field annotation", strings.Replace(keySoundBase, "char *q;", "char * __SEQ q;", 1), true},
+		{"declaration order", strings.Replace(keySoundBase,
+			"struct A { int *p; int n; char *q; };\nstruct B { struct A *a; int k; };",
+			"struct B { struct A *a; int k; };\nstruct A { int *p; int n; char *q; };", 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.src == keySoundBase {
+				t.Fatal("the edit does not apply")
+			}
+			mem := newMemSource()
+			progA, dA := lower(t, "key.c", keySoundBase)
+			InferIncremental(progA, Options{}, dA, mem)
+
+			progB, dB := lower(t, "key.c", tc.src)
+			if tc.sameBodies {
+				fpA, fpB := newFingerprinter(progA), newFingerprinter(progB)
+				for i, f := range progB.Funcs {
+					if fpA.Func(progA.Funcs[i]) != fpB.Func(f) {
+						t.Fatalf("%s: the body fingerprint changed", f.Name)
+					}
+				}
+			}
+			resB, st := InferIncremental(progB, Options{}, dB, mem)
+			if st.Loaded != 0 {
+				t.Fatalf("stats %+v: a summary keyed before the change was replayed", st)
+			}
+			progC, dC := lower(t, "key.c", tc.src)
+			if got, want := resultSig(resB), resultSig(Infer(progC, Options{}, dC)); got != want {
+				t.Fatalf("result diverged from whole-program solve:\n--- want\n%s\n--- got\n%s", want, got)
+			}
+		})
+	}
+}

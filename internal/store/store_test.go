@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestPutIsIdempotent(t *testing.T) {
 	}
 }
 
-func lower(t *testing.T, name, src string) (*cil.Program, *diag.List) {
+func lower(t testing.TB, name, src string) (*cil.Program, *diag.List) {
 	t.Helper()
 	var d diag.List
 	file := cparse.Parse(name, src, &d)
@@ -246,4 +247,148 @@ func TestArtifactsCorruptionRecure(t *testing.T) {
 	if st3.Loaded != st3.Funcs-st3.Unstorable {
 		t.Fatalf("post-recovery stats %+v, want warm", st3)
 	}
+}
+
+// savedSum is one Save seen by captureSource.
+type savedSum struct {
+	sum         *infer.FuncSummary
+	fn          string
+	body, decls [sha256.Size]byte
+}
+
+// captureSource passes loads and saves through to src (when non-nil),
+// records every save, and drops saves when noSave is set.
+type captureSource struct {
+	src    infer.SummarySource
+	noSave bool
+	saves  []savedSum
+}
+
+func (c *captureSource) Load(fn string, body, decls [sha256.Size]byte) (*infer.FuncSummary, bool) {
+	if c.src == nil {
+		return nil, false
+	}
+	return c.src.Load(fn, body, decls)
+}
+
+func (c *captureSource) Save(sum *infer.FuncSummary, fn string, body, decls [sha256.Size]byte) {
+	c.saves = append(c.saves, savedSum{sum, fn, body, decls})
+	if c.src != nil && !c.noSave {
+		c.src.Save(sum, fn, body, decls)
+	}
+}
+
+// TestArtifactsUnreadablePayload stores a well-formed chunk whose payload
+// is not a summary under a real function's key: the chunk's own hash
+// verifies, so only the decoder can catch it. Inference must drop the
+// chunk and re-collect that one function, and the result must not change.
+func TestArtifactsUnreadablePayload(t *testing.T) {
+	p := corpus.All()[0]
+	opts := infer.Options{TrustBadCasts: p.TrustBadCasts}
+	prog0, d0 := lower(t, p.Name, p.Source)
+	want := infer.Infer(prog0, opts, d0).ComputeStats()
+
+	for _, tc := range []struct {
+		name string
+		f    func([]byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arts := NewArtifacts(open(t, t.TempDir()), "v-test", "go-test")
+			src := arts.ForOptions(opts)
+			cold := &captureSource{src: src}
+			prog1, d1 := lower(t, p.Name, p.Source)
+			infer.InferIncremental(prog1, opts, d1, cold)
+			victim := cold.saves[len(cold.saves)-1]
+
+			key := src.(*summarySource).key(victim.fn, victim.body, victim.decls)
+			path := arts.Store().path(key)
+			payload := tc.f(appendSummary(nil, victim.sum))
+			if _, err := decodeSummary(payload); err == nil {
+				t.Fatal("the damaged payload decodes")
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := arts.Store().Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+
+			warm := &captureSource{src: src, noSave: true}
+			prog2, d2 := lower(t, p.Name, p.Source)
+			res, st := infer.InferIncremental(prog2, opts, d2, warm)
+			if st.Recured != 1 || st.Loaded != st.Funcs-1 {
+				t.Fatalf("stats %+v, want only the damaged function re-collected", st)
+			}
+			if len(warm.saves) != 1 || warm.saves[0].fn != victim.fn {
+				t.Fatalf("re-collected %d functions, want %s alone", len(warm.saves), victim.fn)
+			}
+			if cs := arts.Store().Stats(); cs.CorruptDropped != 1 {
+				t.Fatalf("CorruptDropped = %d, want 1", cs.CorruptDropped)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("the undecodable chunk is still on disk")
+			}
+			if got := res.ComputeStats(); got != want {
+				t.Fatalf("stats %+v after the drop, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// ownSource serves one summary, to the function it names.
+type ownSource struct{ sum *infer.FuncSummary }
+
+func (s ownSource) Load(fn string, _, _ [sha256.Size]byte) (*infer.FuncSummary, bool) {
+	return s.sum, fn == s.sum.Func
+}
+
+func (ownSource) Save(*infer.FuncSummary, string, [sha256.Size]byte, [sha256.Size]byte) {}
+
+// FuzzSummaryCodec checks the chunk payload codec. Every summary recorded
+// from three corpus programs must survive encode then decode unchanged,
+// and these encodings are the seed corpus. Decoding arbitrary bytes must
+// never panic; a payload that decodes must re-encode to itself, and when
+// inference is served it and its replay validation rejects it, the result
+// must be that of a plain Infer.
+func FuzzSummaryCodec(f *testing.F) {
+	progs := corpus.All()[:3]
+	for _, p := range progs {
+		rec := &captureSource{}
+		prog, d := lower(f, p.Name, p.Source)
+		infer.InferIncremental(prog, infer.Options{TrustBadCasts: p.TrustBadCasts}, d, rec)
+		for _, s := range rec.saves {
+			payload := appendSummary(nil, s.sum)
+			got, err := decodeSummary(payload)
+			if err != nil {
+				f.Fatalf("%s/%s: %v", p.Name, s.fn, err)
+			}
+			if !reflect.DeepEqual(got, s.sum) {
+				f.Fatalf("%s/%s: decode(encode(s)) differs from s:\n%+v\n%+v", p.Name, s.fn, got, s.sum)
+			}
+			f.Add(payload)
+		}
+	}
+	target := progs[0]
+	opts := infer.Options{TrustBadCasts: target.TrustBadCasts}
+	prog0, d0 := lower(f, target.Name, target.Source)
+	want := infer.Infer(prog0, opts, d0).ComputeStats()
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sum, err := decodeSummary(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeSummary(appendSummary(nil, sum))
+		if err != nil || !reflect.DeepEqual(again, sum) {
+			t.Fatalf("a decoded payload does not re-encode to itself: %v", err)
+		}
+		prog, d := lower(t, target.Name, target.Source)
+		res, st := infer.InferIncremental(prog, opts, d, ownSource{sum})
+		if st.Loaded == 0 && res.ComputeStats() != want {
+			t.Fatalf("a rejected summary changed the result: %+v, want %+v", res.ComputeStats(), want)
+		}
+	})
 }
