@@ -54,8 +54,6 @@ func main() {
 	only := flag.String("only", "", "run a single experiment by id (E1..E11)")
 	optJSON := flag.String("opt-json", "", "write the E10 -O0 vs -O comparison to this file as JSON (BENCH_opt.json)")
 	interpJSON := flag.String("interp-json", "", "write the E11 tree vs vm backend comparison to this file as JSON (BENCH_interp.json)")
-	storeJSON := flag.String("store-json", "", "write the E12 artifact-store cold/warm/edit comparison to this file as JSON (BENCH_store.json)")
-	storeDir := flag.String("store-dir", "", "persistent artifact store directory for -store-json and compiles (empty = a throwaway temp directory)")
 	traceDir := flag.String("trace-dir", "", "write Perfetto trace-event files (pipeline.json, e9-ftpd-cured.json) into this directory")
 	flag.Parse()
 
@@ -65,15 +63,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	arts, err := pipeline.OpenStore(*storeDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	cfg := experiments.Config{
 		Scale:  *scale,
 		Jobs:   *jobs,
-		Runner: pipeline.NewRunner(pipeline.RunnerOptions{Workers: *jobs, Store: arts}),
+		Runner: pipeline.NewRunner(pipeline.RunnerOptions{Workers: *jobs}),
 	}
 	// writeTraces renders the Runner's request traces and the ftpd flight
 	// recording once the requested experiments have run (on every exit
@@ -114,29 +107,6 @@ func main() {
 		"E9":  experiments.Exploits,
 		"E10": experiments.OptOverhead,
 		"E11": experiments.InterpSpeed,
-		"E12": experiments.StoreWarmth,
-	}
-	if *storeJSON != "" {
-		dir := *storeDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "gocured-store-")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		b, err := experiments.WriteStoreBench(cfg, dir, *storeJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s: cold re-cured %d/%d functions, warm re-cured %d, one-line edits re-cured %.1f%% (%d/%d)\n",
-			*storeJSON, b.ColdRecured, b.TotalFuncs, b.WarmRecured,
-			b.EditPct, b.EditRecured, b.EditedFuncs)
-		writeTraces()
-		return
 	}
 	if *interpJSON != "" {
 		b, err := experiments.WriteInterpBench(cfg, *interpJSON)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ccrun [-mode raw|cured|purify|valgrind] [-stdin file] [-trust] [-steps N] [-phases] [-trace out.json] [-trace-buf N] [-prof N] [-store-dir dir] file.c
+//	ccrun [-mode raw|cured|purify|valgrind] [-stdin file] [-trust] [-steps N] [-phases] [-trace out.json] [-trace-buf N] [-prof N] file.c
 //
 // Programs run on the bytecode VM.
 //
@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"gocured"
-	"gocured/internal/pipeline"
 )
 
 func main() {
@@ -33,7 +32,6 @@ func main() {
 	traceBuf := flag.Int("trace-buf", 0, "flight-recorder ring capacity in events (0 = 8192)")
 	profPeriod := flag.Int("prof", 0, "sample the current source line every N interpreter steps (0 = off)")
 	phases := flag.Bool("phases", false, "print per-phase compile durations to stderr before running")
-	storeDir := flag.String("store-dir", "", "persistent artifact store directory; recompiles of unchanged functions are replayed from it (empty = off)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ccrun [flags] file.c")
@@ -46,18 +44,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var m gocured.Mode
-	switch *mode {
-	case "raw":
-		m = gocured.ModeRaw
-	case "cured":
-		m = gocured.ModeCured
-	case "purify":
-		m = gocured.ModePurify
-	case "valgrind":
-		m = gocured.ModeValgrind
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	m, err := gocured.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	var stdin []byte
@@ -68,15 +57,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	opts := gocured.Options{TrustBadCasts: *trust}
-	var sums gocured.SummarySource
-	if arts, err := pipeline.OpenStore(*storeDir); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	} else if arts != nil {
-		sums = arts.ForOptions(opts)
-	}
-	prog, err := gocured.CompileStored(file, string(src), opts, sums)
+	prog, err := gocured.Compile(file, string(src), gocured.Options{TrustBadCasts: *trust})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -22,7 +22,6 @@ import (
 
 	"gocured"
 	"gocured/internal/flight"
-	"gocured/internal/pipeline"
 )
 
 // writeExplain renders the -explain output: one annotated blame chain per
@@ -50,7 +49,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print blame chains for WILD/SEQ/RTTI pointers (why each kind was inferred)")
 	site := flag.String("site", "", "with -explain: only explain casts at this source position prefix (e.g. file.c:12)")
 	traceOut := flag.String("trace", "", "write the compile phases as Chrome trace-event JSON to this file")
-	storeDir := flag.String("store-dir", "", "persistent artifact store directory; recompiles of unchanged functions are replayed from it (empty = off)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ccured [flags] file.c")
@@ -70,22 +68,10 @@ func main() {
 		ForceSplitAll:       *splitAll,
 		NoOptimize:          *optLevel == 0,
 	}
-	var sums gocured.SummarySource
-	if arts, err := pipeline.OpenStore(*storeDir); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	} else if arts != nil {
-		sums = arts.ForOptions(opts)
-	}
-	prog, err := gocured.CompileStored(file, string(src), opts, sums)
+	prog, err := gocured.Compile(file, string(src), opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if *storeDir != "" {
-		in := prog.IncrStats()
-		fmt.Fprintf(os.Stderr, "store: %d functions, %d replayed from %s, %d re-cured\n",
-			in.Funcs, in.Loaded, *storeDir, in.Recured)
 	}
 	for _, d := range prog.Diagnostics() {
 		fmt.Fprintln(os.Stderr, d)

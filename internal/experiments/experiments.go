@@ -114,7 +114,6 @@ func All(cfg Config) []*Table {
 		BindCasts(cfg),
 		SplitStats(cfg),
 		Exploits(cfg),
-		StoreWarmth(cfg),
 	}
 }
 

@@ -1,11 +1,9 @@
 package interp_test
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"gocured/internal/cil"
 	"gocured/internal/core"
 	"gocured/internal/infer"
 	"gocured/internal/interp"
@@ -62,42 +60,6 @@ func TestVMStepLimitOnEmptyLoop(t *testing.T) {
 	if tree.Trap == nil || tree.Trap.Kind != vm.Trap.Kind || tree.Trap.Msg != vm.Trap.Msg ||
 		tree.Trap.Pos != vm.Trap.Pos {
 		t.Fatalf("backends diverge on the timeout trap:\ntree: %+v\nvm:   %+v", tree.Trap, vm.Trap)
-	}
-}
-
-// TestKindCountsJSONShape pins the external encoding of the per-kind check
-// counters: KindCounts is a dense array internally (one add per check, no
-// map hash), but /metrics and JSON consumers must keep seeing the map
-// shape the old map-typed field produced — kind names as keys, zero kinds
-// omitted, deterministic CheckKind order.
-func TestKindCountsJSONShape(t *testing.T) {
-	var k interp.KindCounts
-	k[cil.CheckNull] = 3
-	k[cil.CheckSeq] = 7
-	k[cil.CheckIndex] = 1
-
-	data, err := json.Marshal(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"null":3,"seq":7,"index":1}`
-	if string(data) != want {
-		t.Fatalf("encoding = %s, want %s", data, want)
-	}
-
-	var back interp.KindCounts
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != k {
-		t.Fatalf("round trip: %v != %v", back, k)
-	}
-	if back.Total() != 11 {
-		t.Fatalf("total = %d, want 11", back.Total())
-	}
-
-	if err := json.Unmarshal([]byte(`{"no-such-kind":1}`), &back); err == nil {
-		t.Fatal("unknown kind accepted")
 	}
 }
 

@@ -1,68 +1,8 @@
 package interp
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-
-	"gocured/internal/cil"
-)
+import "gocured/internal/cil"
 
 // KindCounts tallies executed checks per check kind. It is a fixed array
 // indexed by cil.CheckKind so the per-check hot path is one add with no
-// map hash; the JSON encoding keeps the external map shape
-// ({"null": 3, "seq": 7, ...}, zero kinds omitted, kind order) so
-// /metrics and JSON consumers see exactly what the old map produced.
+// map hash.
 type KindCounts [cil.NumCheckKinds]uint64
-
-// Total sums all kinds.
-func (k *KindCounts) Total() uint64 {
-	var n uint64
-	for _, v := range k {
-		n += v
-	}
-	return n
-}
-
-// MarshalJSON renders the map-of-kind-names shape, omitting zero kinds,
-// in CheckKind order (deterministic, unlike a Go map).
-func (k KindCounts) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte('{')
-	first := true
-	for kind, n := range k {
-		if n == 0 {
-			continue
-		}
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, "%q:%d", cil.CheckKind(kind).String(), n)
-	}
-	b.WriteByte('}')
-	return b.Bytes(), nil
-}
-
-// UnmarshalJSON accepts the map shape back.
-func (k *KindCounts) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	*k = KindCounts{}
-	for name, n := range m {
-		found := false
-		for i := 0; i < cil.NumCheckKinds; i++ {
-			if cil.CheckKind(i).String() == name {
-				k[i] = n
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown check kind %q", name)
-		}
-	}
-	return nil
-}

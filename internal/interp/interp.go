@@ -118,7 +118,7 @@ type Counters struct {
 	Checks uint64
 	// ChecksByKind tallies executed checks per kind. It is a fixed array
 	// indexed by cil.CheckKind (a map here would hash on every dynamic
-	// check); KindCounts.MarshalJSON keeps the external map-of-names shape.
+	// check).
 	ChecksByKind KindCounts
 	// Sites lists, in site-ID order, every check site that executed,
 	// trapped or had checks elided (file:line:col × check kind): the

@@ -14,21 +14,14 @@ type Span struct {
 	Depth   int     `json:"depth,omitempty"`
 }
 
-// EndMS returns the span's end offset.
-func (s Span) EndMS() float64 { return s.StartMS + s.DurMS }
-
-// SpanSet accumulates phase spans. The zero value is ready to use; it is
-// not safe for concurrent use (phases run sequentially). Spans may nest:
-// Begin/End pairs track an open-span stack, and Do is Begin+fn+End.
+// SpanSet records phases that run one after another, as depth-0 spans in
+// start order. The zero value is ready to use; it is not safe for
+// concurrent use.
 type SpanSet struct {
 	Spans []Span
 
-	t0   time.Time
-	open []int // indices into Spans of still-open spans, outermost first
+	t0 time.Time
 }
-
-// SpanHandle identifies one Begin'd span for End.
-type SpanHandle int
 
 // now returns the offset in ms since the set's first observation,
 // initializing the epoch on first use.
@@ -40,80 +33,14 @@ func (s *SpanSet) now() float64 {
 	return float64(time.Since(s.t0)) / float64(time.Millisecond)
 }
 
-// Add records a completed (leaf) span ending now with duration d.
-func (s *SpanSet) Add(name string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	end := s.now()
-	dur := float64(d) / float64(time.Millisecond)
-	start := end - dur
-	if start < 0 {
-		start = 0
-	}
-	s.Spans = append(s.Spans, Span{Name: name, DurMS: dur, StartMS: start, Depth: len(s.open)})
-}
-
-// Begin opens a span. The returned handle closes it via End; spans begun
-// while another is open nest under it (Depth records the level).
-func (s *SpanSet) Begin(name string) SpanHandle {
-	if s == nil {
-		return -1
-	}
-	start := s.now()
-	idx := len(s.Spans)
-	s.Spans = append(s.Spans, Span{Name: name, StartMS: start, DurMS: -1, Depth: len(s.open)})
-	s.open = append(s.open, idx)
-	return SpanHandle(idx)
-}
-
-// End closes the span h. Ending a span that still has open children closes
-// the children first (at the same instant), so out-of-order End calls can
-// never produce overlapping-but-unnested spans; ending an already-closed
-// span is a no-op. Zero-duration spans (Begin immediately followed by End)
-// are kept — they mark phases that ran and finished within a timer tick.
-func (s *SpanSet) End(h SpanHandle) {
-	if s == nil || h < 0 || int(h) >= len(s.Spans) {
-		return
-	}
-	// Find h on the open stack; a missing entry means it was already ended.
-	at := -1
-	for i, idx := range s.open {
-		if idx == int(h) {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return
-	}
-	end := s.now()
-	// Close h and everything opened after it, innermost first.
-	for i := len(s.open) - 1; i >= at; i-- {
-		sp := &s.Spans[s.open[i]]
-		sp.DurMS = end - sp.StartMS
-		if sp.DurMS < 0 {
-			sp.DurMS = 0
-		}
-	}
-	s.open = s.open[:at]
-}
-
-// Do times fn and records it under name, nesting inside any open span.
+// Do times fn and records it under name. A nil set just runs fn.
 func (s *SpanSet) Do(name string, fn func()) {
 	if s == nil {
 		fn()
 		return
 	}
-	h := s.Begin(name)
+	i := len(s.Spans)
+	s.Spans = append(s.Spans, Span{Name: name, StartMS: s.now()})
 	fn()
-	s.End(h)
-}
-
-// Open reports how many spans are currently open (for tests).
-func (s *SpanSet) Open() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.open)
+	s.Spans[i].DurMS = s.now() - s.Spans[i].StartMS
 }

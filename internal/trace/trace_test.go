@@ -196,78 +196,22 @@ func TestLines(t *testing.T) {
 func TestSpanSet(t *testing.T) {
 	var ss SpanSet
 	ss.Do("parse", func() {})
-	ss.Add("sema", 1500*time.Microsecond)
-	if len(ss.Spans) != 2 || ss.Spans[0].Name != "parse" || ss.Spans[1].DurMS != 1.5 {
-		t.Errorf("spans = %+v", ss.Spans)
+	ss.Do("sema", func() { time.Sleep(time.Millisecond) })
+	if len(ss.Spans) != 2 || ss.Spans[0].Name != "parse" || ss.Spans[1].Name != "sema" {
+		t.Fatalf("spans = %+v", ss.Spans)
+	}
+	for _, sp := range ss.Spans {
+		if sp.Depth != 0 || sp.DurMS < 0 {
+			t.Errorf("span %+v: want depth 0 and a non-negative duration", sp)
+		}
+	}
+	if sema := ss.Spans[1]; sema.StartMS < ss.Spans[0].StartMS+ss.Spans[0].DurMS || sema.DurMS < 1 {
+		t.Errorf("sema %+v must start after parse %+v ends and last >= 1ms", sema, ss.Spans[0])
 	}
 	var nilSet *SpanSet
 	ran := false
 	nilSet.Do("x", func() { ran = true }) // must still run the body
-	nilSet.Add("y", time.Millisecond)
 	if !ran {
 		t.Error("nil SpanSet.Do skipped the body")
 	}
-}
-
-func TestSpanNesting(t *testing.T) {
-	var ss SpanSet
-	outer := ss.Begin("outer")
-	inner := ss.Begin("inner")
-	if ss.Open() != 2 {
-		t.Fatalf("open = %d, want 2", ss.Open())
-	}
-	ss.End(inner)
-	ss.End(outer)
-	if ss.Open() != 0 {
-		t.Fatalf("open = %d after ending all, want 0", ss.Open())
-	}
-	if ss.Spans[0].Depth != 0 || ss.Spans[1].Depth != 1 {
-		t.Errorf("depths = %d,%d, want 0,1", ss.Spans[0].Depth, ss.Spans[1].Depth)
-	}
-	// The inner span must nest inside the outer one's interval.
-	in, out := ss.Spans[1], ss.Spans[0]
-	if in.StartMS < out.StartMS || in.EndMS() > out.EndMS() {
-		t.Errorf("inner [%v,%v] escapes outer [%v,%v]",
-			in.StartMS, in.EndMS(), out.StartMS, out.EndMS())
-	}
-}
-
-func TestSpanZeroDuration(t *testing.T) {
-	var ss SpanSet
-	h := ss.Begin("instant")
-	ss.End(h)
-	if len(ss.Spans) != 1 {
-		t.Fatalf("spans = %d, want 1 (zero-duration spans are kept)", len(ss.Spans))
-	}
-	if ss.Spans[0].DurMS < 0 {
-		t.Errorf("DurMS = %v, want >= 0", ss.Spans[0].DurMS)
-	}
-}
-
-func TestSpanOutOfOrderEnd(t *testing.T) {
-	var ss SpanSet
-	outer := ss.Begin("outer")
-	inner := ss.Begin("inner")
-	// Ending the outer span first must close the still-open child too, at
-	// the same instant, and leave nothing open.
-	ss.End(outer)
-	if ss.Open() != 0 {
-		t.Fatalf("open = %d after out-of-order End, want 0", ss.Open())
-	}
-	if ss.Spans[1].DurMS < 0 {
-		t.Errorf("child DurMS = %v, want closed (>= 0)", ss.Spans[1].DurMS)
-	}
-	if ss.Spans[1].EndMS() > ss.Spans[0].EndMS() {
-		t.Errorf("child ends (%v) after parent (%v)", ss.Spans[1].EndMS(), ss.Spans[0].EndMS())
-	}
-	// A second End of either handle is a no-op.
-	before := ss.Spans[1].DurMS
-	ss.End(inner)
-	ss.End(outer)
-	if ss.Spans[1].DurMS != before || ss.Open() != 0 {
-		t.Error("repeated End mutated a closed span")
-	}
-	// Out-of-range handles are ignored.
-	ss.End(SpanHandle(-1))
-	ss.End(SpanHandle(99))
 }
