@@ -298,3 +298,41 @@ func TestHottestCheckSite(t *testing.T) {
 		t.Errorf("TopCheckSites(3) = %v, want prefix starting at %v", top, hot)
 	}
 }
+
+// splitConflictProbe puts WILD and NOSPLIT members into SPLIT classes:
+// three WILD struct pointers annotated __SPLIT, and an assignment that
+// unifies an int* __SPLIT with an int* __NOSPLIT.
+const splitConflictProbe = `
+struct X { int *p; int n; };
+int main(void) {
+    struct X * __SPLIT __WILD a;
+    struct X * __SPLIT __WILD b;
+    struct X * __SPLIT __WILD c;
+    int * __SPLIT s;
+    int * __NOSPLIT u;
+    s = u;
+    return 0;
+}
+`
+
+// TestSplitWarningsDeterministic compiles the split-conflict probe many
+// times. Its warnings carry no position, so they keep the order split
+// inference emits them in, and that order must not vary between compiles.
+func TestSplitWarningsDeterministic(t *testing.T) {
+	const wild = "<generated>: warning: WILD pointer %s cannot use the compatible representation; ignoring SPLIT"
+	const both = "<generated>: warning: type int* is both __SPLIT (inferred) and __NOSPLIT (annotated); keeping SPLIT"
+	want := []string{
+		fmt.Sprintf(wild, "struct X*"), fmt.Sprintf(wild, "int*"),
+		fmt.Sprintf(wild, "struct X*"), fmt.Sprintf(wild, "struct X*"),
+		both, both,
+	}
+	for i := 0; i < 50; i++ {
+		prog, err := gocured.Compile("probe.c", splitConflictProbe, gocured.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Diagnostics(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("compile %d: diagnostics\n%s\nwant\n%s", i, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

@@ -415,6 +415,8 @@ type Program struct {
 	Externs  []*Var // declared, undefined functions (library boundary)
 	Structs  []*ctypes.StructInfo
 	Wrappers []*Wrapper
+	// IDs numbers the program's type occurrences for inference.
+	IDs ctypes.IDs
 }
 
 // Lookup returns the defined function with the given name, or nil.

@@ -335,7 +335,8 @@ type File struct {
 	Globals  []*VarDecl
 	Wrappers []*WrapperPragma
 	// Structs lists every struct/union defined in the file, in definition
-	// order (the RTTI hierarchy is built from these).
+	// order (the RTTI hierarchy is built from these); each struct's Index
+	// is its position here.
 	Structs []*ctypes.StructInfo
 }
 

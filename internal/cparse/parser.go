@@ -305,18 +305,14 @@ func (p *Parser) parseStructSpecifier(union bool) *ctypes.StructInfo {
 	if p.tok.Kind == IDENT {
 		name = p.advance().Text
 	}
-	var su *ctypes.StructInfo
-	if name != "" {
-		if existing, ok := p.tags[name]; ok {
-			su = existing
-		} else {
-			su = ctypes.NewStruct(name, union)
-			p.tags[name] = su
-			p.out.Structs = append(p.out.Structs, su)
-		}
-	} else {
-		su = ctypes.NewStruct("", union)
+	su := p.tags[name]
+	if su == nil || name == "" {
+		su = ctypes.NewStruct(name, union)
+		su.Index = int32(len(p.out.Structs))
 		p.out.Structs = append(p.out.Structs, su)
+		if name != "" {
+			p.tags[name] = su
+		}
 	}
 	if p.tok.Kind != LBRACE {
 		return su

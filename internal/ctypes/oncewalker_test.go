@@ -14,7 +14,7 @@ import (
 // checkOnceWalk asserts that a OnceWalker over roots applies f exactly
 // once per occurrence, in the order of each occurrence's first visit
 // across one fresh ctypes.Walk per root.
-func checkOnceWalk(t *testing.T, label string, roots []*ctypes.Type) {
+func checkOnceWalk(t *testing.T, label string, ids *ctypes.IDs, roots []*ctypes.Type) {
 	t.Helper()
 	var want []*ctypes.Type
 	seen := make(map[*ctypes.Type]bool)
@@ -27,7 +27,7 @@ func checkOnceWalk(t *testing.T, label string, roots []*ctypes.Type) {
 		})
 	}
 	var got []*ctypes.Type
-	w := ctypes.NewOnceWalker(func(u *ctypes.Type) { got = append(got, u) })
+	w := ctypes.NewOnceWalker(ids, func(u *ctypes.Type) { got = append(got, u) })
 	for _, r := range roots {
 		w.Walk(r)
 	}
@@ -53,7 +53,7 @@ func TestOnceWalkerReentersSignature(t *testing.T) {
 	handler := ctypes.PointerTo(ctypes.FuncType(ctypes.IntT(), []*ctypes.Type{sp, yp}, nil, false))
 	zp := ctypes.PointerTo(ctypes.CharType())
 	s.Define([]*ctypes.Field{{Name: "h", Type: handler}, {Name: "z", Type: zp}})
-	checkOnceWalk(t, "handler", []*ctypes.Type{handler, sp, zp, handler})
+	checkOnceWalk(t, "handler", new(ctypes.IDs), []*ctypes.Type{handler, sp, zp, handler})
 }
 
 // TestOnceWalkerCorpusOrder replays the registration roots of pointer-kind
@@ -82,6 +82,6 @@ func TestOnceWalkerCorpusOrder(t *testing.T) {
 		for _, f := range prog.Funcs {
 			cil.WalkFuncExprs(f, func(e cil.Expr) { roots = append(roots, e.Type()) })
 		}
-		checkOnceWalk(t, p.Name, roots)
+		checkOnceWalk(t, p.Name, &prog.IDs, roots)
 	}
 }

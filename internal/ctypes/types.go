@@ -3,9 +3,19 @@
 // type equality / physical subtyping relations from §3.1 of "CCured in the
 // Real World" (PLDI 2003).
 //
-// Pointer and array type occurrences carry qualifier node identifiers
-// (assigned by the inference engine); a typedef shares one Type value, so a
+// Each Type value is one occurrence; a typedef shares one Type value, so a
 // typedef'd pointer has a single program-wide qualifier, exactly as in CCured.
+// Inference keeps per-occurrence state in Dense tables indexed by occurrence
+// ID (see IDs) and, per struct, by StructInfo.Index. Three invariants hold:
+//
+//  1. IDs are dense per program: they count from 1 over the occurrences of
+//     one program, so no table is sized by the types the process made before.
+//  2. IDs are assigned on the compiling goroutine before the program is
+//     shared; later queries only read, and a type with no ID (one made after
+//     inference) misses, as a map lookup would.
+//  3. An ID is an index, never an order: nothing observable iterates in ID
+//     order, so a warm-store replay, which numbers occurrences in another
+//     order, changes no result.
 package ctypes
 
 import (
@@ -59,6 +69,8 @@ type Type struct {
 	// SplitAnnot records a programmer-supplied __SPLIT/__NOSPLIT
 	// annotation on this occurrence.
 	SplitAnnot SplitAnn
+	// id is the occurrence's dense per-program ID, 0 until numbered.
+	id int32
 
 	// DecayOf links a decayed pointer occurrence back to the array
 	// occurrence it came from; the inference unifies their qualifier
@@ -99,6 +111,10 @@ type StructInfo struct {
 	// ID is a unique identifier assigned at creation, usable as a map key
 	// for hierarchy construction.
 	ID int
+	// Index is the struct's dense per-program index, set by the parser:
+	// its position in File.Structs, which lowering copies to
+	// Program.Structs.
+	Index int32
 
 	size, align int
 	laidOut     bool
@@ -135,6 +151,49 @@ var nextStructID atomic.Int64
 // NewStruct creates a fresh, incomplete struct or union definition.
 func NewStruct(name string, union bool) *StructInfo {
 	return &StructInfo{Name: name, Union: union, ID: int(nextStructID.Add(1))}
+}
+
+// IDs numbers the type occurrences of one program, from 1, in the order
+// inference first sees them; its value is the count so far. The program
+// owns it (cil.Program.IDs).
+type IDs int32
+
+// Of returns t's ID, numbering t first if it has none.
+func (c *IDs) Of(t *Type) int32 {
+	if t.id == 0 {
+		*c++
+		t.id = int32(*c)
+	}
+	return t.id
+}
+
+// ID returns t's occurrence ID, or 0 if t is nil or has none. It never
+// assigns one.
+func (t *Type) ID() int32 {
+	if t == nil {
+		return 0
+	}
+	return t.id
+}
+
+// Dense is a table indexed by occurrence ID or StructInfo.Index. Reading
+// past its end yields the zero value, as a map miss would.
+type Dense[V any] []V
+
+// At returns the value at i.
+func (d Dense[V]) At(i int32) (v V) {
+	if int(i) < len(d) {
+		v = d[i]
+	}
+	return v
+}
+
+// Put stores v at i, growing d as needed.
+func (d *Dense[V]) Put(i int32, v V) {
+	if n := int(i) + 1 - len(*d); n > 0 {
+		*d = append(*d, make([]V, n)...)
+	}
+	(*d)[i] = v
 }
 
 // Define completes a struct definition with its fields and computes layout.
@@ -481,10 +540,13 @@ func walk(t *Type, f func(*Type), seen map[*StructInfo]bool) {
 // same point as in a sequence of fresh Walks; what it skips is exactly the
 // repeated visits. An occurrence is skipped only once its whole reachable
 // graph has been visited, and an incomplete struct is never marked done.
+// The walker numbers each occurrence it meets from the program's IDs and
+// keeps its state in Dense tables, by occurrence ID and by struct index.
 type OnceWalker struct {
 	f       func(*Type)
-	state   map[*Type]uint8
-	structs map[*StructInfo]bool
+	ids     *IDs
+	state   Dense[uint8]
+	structs Dense[bool]
 }
 
 // Occurrence states of a OnceWalker.
@@ -493,9 +555,10 @@ const (
 	walkDone                     // f applied to the whole reachable graph
 )
 
-// NewOnceWalker returns a walker that applies f.
-func NewOnceWalker(f func(*Type)) *OnceWalker {
-	return &OnceWalker{f: f, state: make(map[*Type]uint8), structs: make(map[*StructInfo]bool)}
+// NewOnceWalker returns a walker that numbers occurrences from ids and
+// applies f.
+func NewOnceWalker(ids *IDs, f func(*Type)) *OnceWalker {
+	return &OnceWalker{f: f, ids: ids, state: make(Dense[uint8], *ids+1)}
 }
 
 // Walk applies f to every occurrence reachable from t not yet visited.
@@ -503,11 +566,12 @@ func (w *OnceWalker) Walk(t *Type) {
 	if t == nil {
 		return
 	}
-	switch w.state[t] {
+	id := w.ids.Of(t)
+	switch w.state.At(id) {
 	case walkDone:
 		return
 	case 0:
-		w.state[t] = walkVisited
+		w.state.Put(id, walkVisited)
 		w.f(t)
 	}
 	// A visited occurrence met again mid-walk (through a struct cycle)
@@ -520,8 +584,8 @@ func (w *OnceWalker) Walk(t *Type) {
 		if !t.SU.Complete {
 			return
 		}
-		if !w.structs[t.SU] {
-			w.structs[t.SU] = true
+		if !w.structs.At(t.SU.Index) {
+			w.structs.Put(t.SU.Index, true)
 			for _, fl := range t.SU.Fields {
 				w.Walk(fl.Type)
 			}
@@ -532,5 +596,5 @@ func (w *OnceWalker) Walk(t *Type) {
 			w.Walk(p)
 		}
 	}
-	w.state[t] = walkDone
+	w.state[id] = walkDone
 }

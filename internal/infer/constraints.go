@@ -11,7 +11,8 @@ import (
 // t's reachable type graph, records base-containment edges for WILD
 // spreading, and registers pointer base types in the RTTI hierarchy. The
 // inference's one registration walker visits each occurrence once, so a
-// type seen again (every expression of it) costs a map lookup.
+// type seen again (every expression of it) costs one read of the walker's
+// table, indexed by the occurrence's ID.
 func (in *inferrer) regType(t *ctypes.Type) {
 	if t == nil {
 		return
@@ -39,9 +40,8 @@ func (in *inferrer) regOcc(u *ctypes.Type) {
 	}
 	// Base containment: pointer occurrences in the representation of
 	// the pointee (not through further pointers).
-	for _, b := range repPointers(u.Elem) {
-		in.g.AddBase(n, in.g.NodeFor(b))
-	}
+	in.baseWalk++
+	in.addBases(n, u.Elem, 0)
 }
 
 // hasQualOcc reports whether t's reachable type graph contains any
@@ -60,20 +60,19 @@ func (in *inferrer) hasQualOcc(t *ctypes.Type) bool {
 		if !t.SU.Complete {
 			return false
 		}
-		has, ok := in.qualSU[t.SU]
-		if !ok {
-			// A struct cannot contain itself by value; the placeholder
-			// only guards against malformed input.
-			in.qualSU[t.SU] = false
-			for _, f := range t.SU.Fields {
-				if in.hasQualOcc(f.Type) {
-					has = true
-					break
-				}
-			}
-			in.qualSU[t.SU] = has
+		if memo := in.qualSU.At(t.SU.Index); memo != 0 {
+			return memo == 2
 		}
-		return has
+		// A struct cannot contain itself by value; the placeholder only
+		// guards against malformed input.
+		in.qualSU.Put(t.SU.Index, 1)
+		for _, f := range t.SU.Fields {
+			if in.hasQualOcc(f.Type) {
+				in.qualSU.Put(t.SU.Index, 2)
+				return true
+			}
+		}
+		return false
 	case ctypes.Func:
 		if in.hasQualOcc(t.Fn.Ret) {
 			return true
@@ -87,35 +86,28 @@ func (in *inferrer) hasQualOcc(t *ctypes.Type) bool {
 	return false
 }
 
-// repPointers returns the pointer/array occurrences contained in the
-// in-memory representation of t (descending through structs and arrays but
-// not through pointers).
-func repPointers(t *ctypes.Type) []*ctypes.Type {
-	var out []*ctypes.Type
-	var rec func(u *ctypes.Type, depth int)
-	seen := map[*ctypes.StructInfo]bool{}
-	rec = func(u *ctypes.Type, depth int) {
-		if u == nil || depth > 64 {
+// addBases records a contains edge from n to each pointer/array occurrence
+// in the in-memory representation of t (descending through structs and
+// arrays but not through pointers), entering each struct once per walk.
+func (in *inferrer) addBases(n *qual.Node, t *ctypes.Type, depth int) {
+	if t == nil || depth > 64 {
+		return
+	}
+	switch t.Kind {
+	case ctypes.Ptr, ctypes.Array:
+		in.g.AddBase(n, in.g.NodeFor(t))
+		if t.Kind == ctypes.Array {
+			in.addBases(n, t.Elem, depth+1)
+		}
+	case ctypes.Struct:
+		if !t.SU.Complete || in.baseSeen.At(t.SU.Index) == in.baseWalk {
 			return
 		}
-		switch u.Kind {
-		case ctypes.Ptr:
-			out = append(out, u)
-		case ctypes.Array:
-			out = append(out, u)
-			rec(u.Elem, depth+1)
-		case ctypes.Struct:
-			if !u.SU.Complete || seen[u.SU] {
-				return
-			}
-			seen[u.SU] = true
-			for _, f := range u.SU.Fields {
-				rec(f.Type, depth+1)
-			}
+		in.baseSeen.Put(t.SU.Index, in.baseWalk)
+		for _, f := range t.SU.Fields {
+			in.addBases(n, f.Type, depth+1)
 		}
 	}
-	rec(t, 0)
-	return out
 }
 
 func (in *inferrer) collectInit(init *cil.Init, ty *ctypes.Type) {
@@ -307,7 +299,15 @@ func (in *inferrer) flow(src, dst *ctypes.Type, rule string, pos diag.Pos) {
 		return
 	}
 	switch {
-	case src.IsPointer() && dst.IsPointer():
+	case src.Kind == ctypes.Struct && dst.Kind == ctypes.Struct:
+		// Struct copy: contained pointers alias the same data.
+		if ok, pairs := in.match.PhysEqual(src, dst); ok {
+			in.unifyPairs(pairs, "struct-copy", pos)
+		}
+	case (src.IsPointer() || src.Kind == ctypes.Array) && dst.IsPointer():
+		if src.Kind == ctypes.Array {
+			rule = "array-decay" // decayed array flow
+		}
 		in.regType(src)
 		in.regType(dst)
 		ns, nd := in.g.Lookup(src), in.g.Lookup(dst)
@@ -317,24 +317,12 @@ func (in *inferrer) flow(src, dst *ctypes.Type, rule string, pos diag.Pos) {
 		}
 		in.g.FlowR(ns, nd, rule, pos)
 		in.edges = append(in.edges, &edge{src: ns, dst: nd, class: edgeAssign})
+		if src.Kind == ctypes.Array {
+			return
+		}
 		if ok, pairs := in.match.PhysEqual(src.Elem, dst.Elem); ok {
 			in.unifyPairs(pairs, rule, pos)
 		}
-	case src.Kind == ctypes.Struct && dst.Kind == ctypes.Struct:
-		// Struct copy: contained pointers alias the same data.
-		if ok, pairs := in.match.PhysEqual(src, dst); ok {
-			in.unifyPairs(pairs, "struct-copy", pos)
-		}
-	case src.Kind == ctypes.Array && dst.IsPointer():
-		// Decayed array flow.
-		in.regType(src)
-		in.regType(dst)
-		if in.rec != nil {
-			in.rec.flow(nil, nil, src, dst, "array-decay", pos)
-			in.rec.edge(nil, nil, src, dst, edgeAssign, nil)
-		}
-		in.g.FlowR(in.g.Lookup(src), in.g.Lookup(dst), "array-decay", pos)
-		in.edges = append(in.edges, &edge{src: in.g.Lookup(src), dst: in.g.Lookup(dst), class: edgeAssign})
 	}
 }
 
@@ -421,7 +409,7 @@ func (in *inferrer) collectCast(c *cil.Cast) {
 		return
 	}
 
-	if in.allocRets[from] {
+	if in.allocRets.At(from.ID()) {
 		// Fresh allocator result adopting its use type: no compatibility
 		// constraint, but the data flow remains (the allocator's result
 		// node must carry bounds when its uses need them).
@@ -517,10 +505,5 @@ func (in *inferrer) markBadCast(a, b *qual.Node, ta, tb *ctypes.Type, pos diag.P
 	a.MarkBad(pos, "bad cast")
 	b.MarkBad(pos, "bad cast")
 	// Bad casts tie the two pointers into the untyped universe together.
-	if in.rec != nil {
-		in.rec.flow(a, b, ta, tb, "bad-cast", pos)
-		in.rec.edge(a, b, ta, tb, edgeAssign, nil)
-	}
-	in.g.FlowR(a, b, "bad-cast", pos)
-	in.edges = append(in.edges, &edge{src: a, dst: b, class: edgeAssign})
+	in.flowEdge(a, b, ta, tb, "bad-cast", pos, edgeAssign, nil)
 }

@@ -12,21 +12,18 @@ import (
 
 // fingerprinter content-hashes one program's functions and declarations for
 // summary keying. Both fingerprints share one shallow binary encoding of
-// types: a struct type is named by its index in prog.Structs, not expanded.
+// types: a struct type is named by its index (StructInfo.Index, its place
+// in prog.Structs), not expanded.
 // That is sound because the declaration fingerprint hashes every struct's
 // fields once, and it is part of every chunk key, so a change to any struct
 // (or to the declaration order) changes every key.
 type fingerprinter struct {
-	structIx map[*ctypes.StructInfo]int
-	buf      []byte
+	structs []*ctypes.StructInfo
+	buf     []byte
 }
 
 func newFingerprinter(prog *cil.Program) *fingerprinter {
-	fp := &fingerprinter{structIx: make(map[*ctypes.StructInfo]int, len(prog.Structs))}
-	for i, su := range prog.Structs {
-		fp.structIx[su] = i
-	}
-	return fp
+	return &fingerprinter{structs: prog.Structs}
 }
 
 // Write appends p to the buffer, so the IR printer can print into it.
@@ -170,11 +167,10 @@ func (fp *fingerprinter) typ(t *ctypes.Type) {
 // that list to prog.Structs. A struct outside it is a frontend bug, and
 // naming it by anything short of its fields would make the key unsound.
 func (fp *fingerprinter) structRef(su *ctypes.StructInfo) {
-	ix, ok := fp.structIx[su]
-	if !ok {
+	if int(su.Index) >= len(fp.structs) || fp.structs[su.Index] != su {
 		panic(fmt.Sprintf("infer: struct %q is not declared in the program", su.Name))
 	}
-	fp.buf = binary.AppendUvarint(fp.buf, uint64(ix))
+	fp.buf = binary.AppendUvarint(fp.buf, uint64(su.Index))
 }
 
 func (fp *fingerprinter) init(in *cil.Init) {

@@ -147,32 +147,35 @@ type inferrer struct {
 	casts  []*CastSite
 	castOf map[*cil.Cast]*CastSite
 	edges  []*edge
-	// allocRets holds the return-type occurrences of the known allocator
-	// externs; casts from them are CastAlloc.
-	allocRets map[*ctypes.Type]bool
+	// allocRets marks, by occurrence ID, the return types of the known
+	// allocator externs; casts from them are CastAlloc.
+	allocRets ctypes.Dense[bool]
 	// rec, when non-nil, captures the current function's collection pass
 	// as a replayable summary (see summary.go). Plain Infer never sets it.
 	rec *recorder
 	// reg applies regOcc once per type occurrence for the whole inference.
 	reg *ctypes.OnceWalker
-	// qualSU memoizes hasQualOcc per complete struct.
-	qualSU map[*ctypes.StructInfo]bool
+	// qualSU memoizes hasQualOcc per complete struct, by struct index:
+	// 0 not yet computed, 1 no occurrence, 2 some.
+	qualSU ctypes.Dense[uint8]
+	// baseSeen stamps, by struct index, the structs the current addBases
+	// walk has entered with that walk's number, baseWalk.
+	baseSeen ctypes.Dense[int32]
+	baseWalk int32
 	// match runs every physical type comparison, reusing its buffers.
 	match ctypes.Matcher
 }
 
 func newInferrer(prog *cil.Program, opts Options, diags *diag.List) *inferrer {
 	in := &inferrer{
-		prog:      prog,
-		diags:     diags,
-		opts:      opts,
-		g:         qual.NewGraph(),
-		hier:      rtti.NewHierarchy(),
-		castOf:    make(map[*cil.Cast]*CastSite),
-		allocRets: make(map[*ctypes.Type]bool),
-		qualSU:    make(map[*ctypes.StructInfo]bool),
+		prog:   prog,
+		diags:  diags,
+		opts:   opts,
+		g:      qual.NewGraph(&prog.IDs),
+		hier:   rtti.NewHierarchy(),
+		castOf: make(map[*cil.Cast]*CastSite),
 	}
-	in.reg = ctypes.NewOnceWalker(in.regOcc)
+	in.reg = ctypes.NewOnceWalker(&prog.IDs, in.regOcc)
 	return in
 }
 
@@ -189,7 +192,7 @@ func (in *inferrer) prologue() {
 		switch v.Name {
 		case "malloc", "calloc", "realloc":
 			if v.Type.Fn.Ret.IsPointer() {
-				in.allocRets[v.Type.Fn.Ret] = true
+				in.allocRets.Put(in.prog.IDs.Of(v.Type.Fn.Ret), true)
 			}
 		case "__verify_nul", "__endof":
 			// Wrapper helpers that read a pointer's bounds metadata: their

@@ -42,29 +42,44 @@ func TestRegTypeRegistersOnce(t *testing.T) {
 	}
 }
 
-// TestInferAllocation bounds the memory one inference of ijpeg allocates.
-// Reusing the physical-type matchers' atom buffers and computing the
-// solver's representative list once brought it from 3.92 MB to 2.14 MB
-// (2,244,376 bytes with go1.24 on linux/amd64). Rendering a node's type
-// only when a blame chain is rendered, not when the node is made, brought
-// it to 1.99 MB (2,091,200 bytes); the limit is that plus 25%.
+// TestInferAllocation bounds the memory one inference of ijpeg and of bind
+// allocates. Reusing the physical-type matchers' atom buffers and computing
+// the solver's representative list once brought ijpeg from 3.92 MB to
+// 2.14 MB (2,244,376 bytes with go1.24 on linux/amd64). Rendering a node's
+// type only when a blame chain is rendered, not when the node is made,
+// brought it to 1.99 MB (2,091,200 bytes). Keeping per-occurrence state in
+// slices indexed by dense occurrence IDs instead of maps keyed by
+// *ctypes.Type brought it to 1.47 MB (1,536,576 bytes), and bind, whose
+// __SPLIT annotations give split inference real work, from 0.47 MB
+// (488,440 bytes) to 0.36 MB (373,240 bytes). Each limit is the last
+// figure plus 25%. The bind leg does not run under the race detector:
+// bind's RTTI subtype tests take their matchers from a sync.Pool, which
+// the detector empties at random, so bind's figure there measures the
+// detector (0.57-0.78 MB over four runs), not the inference.
 func TestInferAllocation(t *testing.T) {
-	p := corpus.ByName("ijpeg")
-	var best uint64
-	for i := 0; i < 3; i++ {
-		prog, d := lower(t, p.Name, p.Source)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		Infer(prog, corpusOpts(p), d)
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
-			best = n
+	for _, c := range []struct {
+		name  string
+		limit uint64
+	}{{"ijpeg", 1_921_000}, {"bind", 466_600}} {
+		if raceEnabled && c.name == "bind" {
+			continue
 		}
-	}
-	t.Logf("Infer(ijpeg) allocates %.2f MB (%d bytes)", float64(best)/(1<<20), best)
-	const limit = 2_614_000
-	if best > limit {
-		t.Errorf("Infer(ijpeg) allocates %.1f MB, want <= %.1f MB", float64(best)/(1<<20), float64(limit)/(1<<20))
+		p := corpus.ByName(c.name)
+		var best uint64
+		for i := 0; i < 3; i++ {
+			prog, d := lower(t, p.Name, p.Source)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Infer(prog, corpusOpts(p), d)
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
+				best = n
+			}
+		}
+		t.Logf("Infer(%s) allocates %.2f MB (%d bytes)", c.name, float64(best)/(1<<20), best)
+		if best > c.limit {
+			t.Errorf("Infer(%s) allocates %.2f MB, want <= %.2f MB", c.name, float64(best)/(1<<20), float64(c.limit)/(1<<20))
+		}
 	}
 }
 

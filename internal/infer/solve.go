@@ -26,7 +26,7 @@ import (
 // every round.
 func (in *inferrer) solve() {
 	reps := in.g.Reps()
-	var byDst map[*qual.Node][]*edge
+	var byDst [][]*edge
 	if !in.opts.NoRTTI {
 		byDst = in.edgesByDst()
 	}
@@ -43,34 +43,41 @@ func (in *inferrer) solve() {
 	in.finalize(reps)
 }
 
-// wildSeeded reports whether the class should be wild right now.
-func seedWild(n *qual.Node) bool {
-	r := n.Find()
-	return r.BadCast || r.Forced == qual.Wild
-}
-
-// propagateWild spreads WILD over every edge. A class is pushed only as
-// it turns WILD, so it enters the work list at most once.
-func (in *inferrer) propagateWild(reps []*qual.Node) {
-	var work []*qual.Node
+// reach returns, in marking order, every class reachable from the reps
+// that seed accepts, stepping from a marked class to the nodes next
+// passes to push and never entering a class that stop rejects.
+func (in *inferrer) reach(reps []*qual.Node, seed, stop func(*qual.Node) bool, next func(n *qual.Node, push func(*qual.Node))) []*qual.Node {
+	seen := make([]bool, len(in.g.Nodes)+1) // by node ID
+	var work, marked []*qual.Node
 	push := func(n *qual.Node) {
 		if n == nil {
 			return
 		}
-		r := n.Find()
-		if r.Kind != qual.Wild {
-			r.Kind = qual.Wild
+		if r := n.Find(); !seen[r.ID] && !stop(r) {
+			seen[r.ID] = true
 			work = append(work, r)
+			marked = append(marked, r)
 		}
 	}
 	for _, r := range reps {
-		if r.Kind == qual.Wild || seedWild(r) {
+		if seed(r) {
 			push(r)
 		}
 	}
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
+		next(n, push)
+	}
+	return marked
+}
+
+// propagateWild spreads WILD over every edge, from the classes that turn
+// WILD now: bad casts and WILD annotations.
+func (in *inferrer) propagateWild(reps []*qual.Node) {
+	seed := func(r *qual.Node) bool { return r.BadCast || r.Forced == qual.Wild }
+	stop := func(r *qual.Node) bool { return r.Kind == qual.Wild }
+	for _, r := range in.reach(reps, seed, stop, func(n *qual.Node, push func(*qual.Node)) {
 		for _, m := range n.FlowsOut() {
 			push(m)
 		}
@@ -80,12 +87,9 @@ func (in *inferrer) propagateWild(reps []*qual.Node) {
 		for _, m := range n.BaseNodes() {
 			push(m)
 		}
+	}) {
+		r.Kind = qual.Wild
 	}
-}
-
-// seqNeeded reports whether the class demands at least SEQ.
-func seqNeeded(r *qual.Node) bool {
-	return r.Arith || r.IntCast || r.Forced == qual.Seq
 }
 
 // propagateIntCast spreads the "disguised integer" fact forward along data
@@ -116,102 +120,58 @@ func (in *inferrer) propagateIntCast(reps []*qual.Node) {
 	}
 }
 
+// propagateSeq makes SEQ every class that needs bounds (arithmetic,
+// disguised integers, SEQ annotations) and, against the data flow, every
+// non-WILD class flowing into one: if the destination needs bounds, the
+// source must carry them.
 func (in *inferrer) propagateSeq(reps []*qual.Node) {
 	in.propagateIntCast(reps)
-	// Seed.
-	var work, marked []*qual.Node
-	seq := make([]bool, len(in.g.Nodes)+1) // by node ID
-	push := func(n *qual.Node) {
-		if n == nil {
-			return
-		}
-		r := n.Find()
-		if r.Kind == qual.Wild || seq[r.ID] {
-			return
-		}
-		seq[r.ID] = true
-		work = append(work, r)
-		marked = append(marked, r)
-	}
-	for _, r := range reps {
-		if r.Kind != qual.Wild && seqNeeded(r) {
-			push(r)
-		}
-	}
-	// SEQ propagates against the data flow: if the destination needs
-	// bounds, the source must carry them.
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
+	seed := func(r *qual.Node) bool { return r.Arith || r.IntCast || r.Forced == qual.Seq }
+	stop := func(r *qual.Node) bool { return r.Kind == qual.Wild }
+	for _, r := range in.reach(reps, seed, stop, func(n *qual.Node, push func(*qual.Node)) {
 		for _, m := range n.FlowsIn() {
 			push(m)
 		}
-	}
-	for _, r := range marked {
-		if r.Kind != qual.Wild {
-			r.Kind = qual.Seq
-		}
+	}) {
+		r.Kind = qual.Seq
 	}
 }
 
-// edgesByDst indexes the flow edges by destination class, for the RTTI
-// step's backward propagation.
-func (in *inferrer) edgesByDst() map[*qual.Node][]*edge {
-	byDst := map[*qual.Node][]*edge{}
+// edgesByDst indexes the flow edges by destination class ID, for the
+// RTTI step's backward propagation.
+func (in *inferrer) edgesByDst() [][]*edge {
+	byDst := make([][]*edge, len(in.g.Nodes)+1)
 	for _, e := range in.edges {
-		if e.src == nil || e.dst == nil {
-			continue
+		if e.src != nil && e.dst != nil {
+			r := e.dst.Find().ID
+			byDst[r] = append(byDst[r], e)
 		}
-		byDst[e.dst.Find()] = append(byDst[e.dst.Find()], e)
 	}
 	return byDst
 }
 
-func (in *inferrer) propagateRtti(reps []*qual.Node, byDst map[*qual.Node][]*edge) {
-	rt := make([]bool, len(in.g.Nodes)+1) // by node ID
-	var work, marked []*qual.Node
-	push := func(n *qual.Node) {
-		if n == nil {
-			return
-		}
-		r := n.Find()
-		if r.Kind == qual.Wild || r.Kind == qual.Seq || rt[r.ID] {
-			return
-		}
-		rt[r.ID] = true
-		work = append(work, r)
-		marked = append(marked, r)
-	}
-	for _, r := range reps {
-		if (r.RttiNeed || r.Forced == qual.Rtti) && r.Kind != qual.Wild && r.Kind != qual.Seq {
-			push(r)
-		}
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, e := range byDst[n] {
+// propagateRtti makes RTTI the sources of checked downcasts and RTTI
+// annotations, and, against the data flow, the non-WILD, non-SEQ classes
+// flowing into one through a physically-equal assignment, or through an
+// upcast whose source type has subtypes in the program (otherwise its
+// static type is exact and SAFE suffices).
+func (in *inferrer) propagateRtti(reps []*qual.Node, byDst [][]*edge) {
+	seed := func(r *qual.Node) bool { return r.RttiNeed || r.Forced == qual.Rtti }
+	stop := func(r *qual.Node) bool { return r.Kind == qual.Wild || r.Kind == qual.Seq }
+	for _, r := range in.reach(reps, seed, stop, func(n *qual.Node, push func(*qual.Node)) {
+		for _, e := range byDst[n.ID] {
 			src := e.src.Find()
 			switch e.class {
 			case edgeAssign:
-				// Physically equal: q' = RTTI => q = RTTI.
 				push(src)
 			case edgeUpcast:
-				// Propagate only if the source's static type has subtypes
-				// occurring in the program; otherwise its static type is
-				// exact and SAFE suffices.
-				if src.Ty != nil && src.Ty.Elem != nil {
-					if in.hier.HasStrictSubtypes(in.hier.Of(src.Ty.Elem)) {
-						push(src)
-					}
+				if src.Ty != nil && src.Ty.Elem != nil && in.hier.HasStrictSubtypes(in.hier.Of(src.Ty.Elem)) {
+					push(src)
 				}
 			}
 		}
-	}
-	for _, r := range marked {
-		if r.Kind != qual.Wild && r.Kind != qual.Seq {
-			r.Kind = qual.Rtti
-		}
+	}) {
+		r.Kind = qual.Rtti
 	}
 }
 

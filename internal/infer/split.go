@@ -14,23 +14,16 @@ import (
 // fields (a SPLIT pointer must never point to a NOSPLIT type), and casts or
 // assignments between values force both sides to agree.
 
+// snode is one occurrence's split node. Nodes live in one flat slice,
+// linked by index, in creation order.
 type snode struct {
+	ty *ctypes.Type
+	// down lists nodes this one forces SPLIT onto (base types, fields).
+	down    []int32
+	parent  int32
+	rank    uint8
 	split   bool
 	noSplit bool // pinned NOSPLIT by annotation
-	parent  *snode
-	rank    int
-	// down lists nodes this one forces SPLIT onto (base types, fields).
-	down []*snode
-}
-
-// find returns the representative without mutating the chain, so solved
-// results can be queried from concurrent runs; inferSplit compresses every
-// chain once the inference is done.
-func (n *snode) find() *snode {
-	for n.parent != n.parent.parent {
-		n = n.parent
-	}
-	return n.parent
 }
 
 // SplitStats summarizes the split inference outcome.
@@ -48,18 +41,33 @@ func (s SplitStats) PctMeta() float64 { return pct(s.MetaPtrs, s.Ptrs) }
 
 // SplitResult carries per-occurrence split decisions.
 type SplitResult struct {
-	nodes map[*ctypes.Type]*snode
+	nodes []snode
+	// byOcc holds 1 + each occurrence's node index, by occurrence ID.
+	byOcc ctypes.Dense[int32]
 	g     *qual.Graph
 	Stats SplitStats
-	// metaMemo caches metaNonVoid per canonical pointee.
-	metaMemo map[*ctypes.Type]int8
+	// metaMemo caches metaNonVoid by occurrence ID: 0 not yet computed,
+	// 1 void, 2 non-void. inProgress marks, by struct index, the structs
+	// the current metaNonVoid descent is inside.
+	metaMemo   ctypes.Dense[uint8]
+	inProgress ctypes.Dense[bool]
+}
+
+// find returns the index of i's representative without mutating the
+// chain, so solved results can be queried from concurrent runs;
+// inferSplit compresses every chain once the inference is done.
+func (r *SplitResult) find(i int32) int32 {
+	for r.nodes[i].parent != i {
+		i = r.nodes[i].parent
+	}
+	return i
 }
 
 // IsSplit reports whether the occurrence t uses the compatible (split)
 // representation.
 func (r *SplitResult) IsSplit(t *ctypes.Type) bool {
-	if n, ok := r.nodes[t]; ok {
-		return n.find().split
+	if i := r.byOcc.At(t.ID()); i != 0 {
+		return r.nodes[r.find(i-1)].split
 	}
 	return false
 }
@@ -78,82 +86,77 @@ type splitInf struct {
 // inferSplit runs split inference after kind inference. With splitAll the
 // inference seeds every node SPLIT (the §5 all-split ablation).
 func inferSplit(prog *cil.Program, g *qual.Graph, splitAll bool, diags *diag.List) *SplitResult {
+	// Kind inference has numbered most occurrences this walk meets (a
+	// corpus program meets at most 17% more), so the tables start at about
+	// their final size.
+	n := int(prog.IDs) * 5 / 4
 	si := &splitInf{
 		prog:     prog,
 		g:        g,
 		diags:    diags,
 		splitAll: splitAll,
-		res: &SplitResult{
-			nodes:    make(map[*ctypes.Type]*snode),
-			g:        g,
-			metaMemo: make(map[*ctypes.Type]int8),
-		},
+		res:      &SplitResult{g: g, nodes: make([]snode, 0, n), byOcc: make(ctypes.Dense[int32], n+1)},
 	}
-	si.reg = ctypes.NewOnceWalker(si.regSplitOcc)
+	si.reg = ctypes.NewOnceWalker(&prog.IDs, si.regSplitOcc)
 	si.collect()
 	si.propagate()
 	si.res.computeStats(g)
 	// Collapse the union-find chains: IsSplit is queried by the layout
 	// oracle on the interpreter's hot path, possibly from many goroutines.
-	for _, n := range si.res.nodes {
-		n.parent = n.find()
+	r := si.res
+	for i := range r.nodes {
+		r.nodes[i].parent = r.find(int32(i))
 	}
-	return si.res
+	return r
 }
 
-func (si *splitInf) node(t *ctypes.Type) *snode {
-	if t == nil {
-		return nil
+// node returns the index of the representative of t's split node,
+// creating the node on first use.
+func (si *splitInf) node(t *ctypes.Type) int32 {
+	r := si.res
+	id := si.prog.IDs.Of(t)
+	if i := r.byOcc.At(id); i != 0 {
+		return r.find(i - 1)
 	}
-	if n, ok := si.res.nodes[t]; ok {
-		return n.find()
-	}
-	n := &snode{}
-	n.parent = n
-	switch t.SplitAnnot {
-	case ctypes.SAnnSplit:
-		n.split = true
-	case ctypes.SAnnNoSplit:
-		n.noSplit = true
-	}
-	if si.splitAll {
-		n.split = true
-	}
-	si.res.nodes[t] = n
-	return n
+	i := int32(len(r.nodes))
+	r.nodes = append(r.nodes, snode{ty: t, parent: i, split: si.splitAll || t.SplitAnnot == ctypes.SAnnSplit,
+		noSplit: t.SplitAnnot == ctypes.SAnnNoSplit})
+	r.byOcc.Put(id, i+1)
+	return i
 }
 
-func (si *splitInf) union(a, b *snode) {
-	if a == nil || b == nil {
-		return
-	}
-	ra, rb := a.find(), b.find()
+func (si *splitInf) union(a, b int32) {
+	ns := si.res.nodes
+	ra, rb := si.res.find(a), si.res.find(b)
 	if ra == rb {
 		return
 	}
-	if ra.rank < rb.rank {
+	if ns[ra].rank < ns[rb].rank {
 		ra, rb = rb, ra
 	}
-	if ra.rank == rb.rank {
-		ra.rank++
+	if ns[ra].rank == ns[rb].rank {
+		ns[ra].rank++
 	}
-	rb.parent = ra
-	ra.split = ra.split || rb.split
-	ra.noSplit = ra.noSplit || rb.noSplit
-	ra.down = append(ra.down, rb.down...)
+	ns[rb].parent = ra
+	ns[ra].split = ns[ra].split || ns[rb].split
+	ns[ra].noSplit = ns[ra].noSplit || ns[rb].noSplit
+	ns[ra].down = append(ns[ra].down, ns[rb].down...)
 }
 
 // regSplitOcc builds the split node and downward edges of one occurrence:
-// pointer -> base, struct -> fields, array -> element.
+// pointer -> base, struct -> fields, array -> element. Creating a node may
+// grow the slice, so each edge is appended through a fresh index.
 func (si *splitInf) regSplitOcc(u *ctypes.Type) {
 	n := si.node(u)
 	switch u.Kind {
 	case ctypes.Ptr, ctypes.Array:
-		n.down = append(n.down, si.node(u.Elem))
+		d := si.node(u.Elem)
+		si.res.nodes[n].down = append(si.res.nodes[n].down, d)
 	case ctypes.Struct:
 		if u.SU.Complete {
 			for _, f := range u.SU.Fields {
-				n.down = append(n.down, si.node(f.Type))
+				d := si.node(f.Type)
+				si.res.nodes[n].down = append(si.res.nodes[n].down, d)
 			}
 		}
 	}
@@ -227,18 +230,20 @@ func (si *splitInf) collectFunc(f *cil.Func) {
 }
 
 // propagate pushes SPLIT down through base types and fields to a fixpoint.
+// Both loops run over the nodes in creation order, so the conflict
+// warnings come out in the same order on every compile.
 func (si *splitInf) propagate() {
+	r := si.res
 	changed := true
 	for changed {
 		changed = false
-		for _, n := range si.res.nodes {
-			r := n.find()
-			if !r.split {
+		for i := range r.nodes {
+			n := &r.nodes[r.find(int32(i))]
+			if !n.split {
 				continue
 			}
-			for _, d := range r.down {
-				rd := d.find()
-				if !rd.split {
+			for _, d := range n.down {
+				if rd := &r.nodes[r.find(d)]; !rd.split {
 					rd.split = true
 					changed = true
 				}
@@ -246,34 +251,32 @@ func (si *splitInf) propagate() {
 		}
 	}
 	// Conflicts: pinned NOSPLIT or WILD occurrences cannot be split.
-	for t, n := range si.res.nodes {
-		r := n.find()
-		if !r.split {
+	for i := range r.nodes {
+		t, n := r.nodes[i].ty, &r.nodes[r.find(int32(i))]
+		if !n.split {
 			continue
 		}
-		if r.noSplit {
+		if n.noSplit {
 			si.diags.Warnf(diag.Pos{}, "type %s is both __SPLIT (inferred) and __NOSPLIT (annotated); keeping SPLIT", t)
 		}
 		if t.Kind == ctypes.Ptr && si.g.KindOf(t) == qual.Wild {
 			si.diags.Warnf(diag.Pos{}, "WILD pointer %s cannot use the compatible representation; ignoring SPLIT", t)
-			r.split = false
+			n.split = false
 		}
 	}
 }
 
-// MetaNonVoid reports whether Meta(t) != void under the solved kinds: SEQ
+// metaNonVoid reports whether Meta(t) != void under the solved kinds: SEQ
 // and RTTI pointers carry their own metadata; SAFE pointers need an m field
-// exactly when their base type has metadata; aggregates aggregate.
-func (r *SplitResult) MetaNonVoid(t *ctypes.Type) bool {
-	return r.metaNonVoid(t, make(map[*ctypes.StructInfo]bool))
-}
-
-func (r *SplitResult) metaNonVoid(t *ctypes.Type, inProgress map[*ctypes.StructInfo]bool) bool {
+// exactly when their base type has metadata; aggregates aggregate. It
+// memoizes into the result, so only the inference calls it.
+func (r *SplitResult) metaNonVoid(t *ctypes.Type) bool {
 	if t == nil {
 		return false
 	}
-	if v, ok := r.metaMemo[t]; ok {
-		return v == 1
+	id := t.ID()
+	if v := r.metaMemo.At(id); v != 0 {
+		return v == 2
 	}
 	res := false
 	switch t.Kind {
@@ -282,39 +285,41 @@ func (r *SplitResult) metaNonVoid(t *ctypes.Type, inProgress map[*ctypes.StructI
 		case qual.Seq, qual.Rtti, qual.Wild:
 			res = true
 		default:
-			res = r.metaNonVoid(t.Elem, inProgress)
+			res = r.metaNonVoid(t.Elem)
 		}
 	case ctypes.Array:
-		res = r.metaNonVoid(t.Elem, inProgress)
+		res = r.metaNonVoid(t.Elem)
 	case ctypes.Struct:
-		if t.SU.Complete && !inProgress[t.SU] {
-			inProgress[t.SU] = true
+		if t.SU.Complete && !r.inProgress.At(t.SU.Index) {
+			r.inProgress.Put(t.SU.Index, true)
 			for _, f := range t.SU.Fields {
-				if r.metaNonVoid(f.Type, inProgress) {
+				if r.metaNonVoid(f.Type) {
 					res = true
 					break
 				}
 			}
-			delete(inProgress, t.SU)
+			r.inProgress[t.SU.Index] = false
 		}
 	}
-	if res {
-		r.metaMemo[t] = 1
-	} else {
-		r.metaMemo[t] = 0
+	if v := uint8(1); id != 0 {
+		if res {
+			v = 2
+		}
+		r.metaMemo.Put(id, v)
 	}
 	return res
 }
 
 func (r *SplitResult) computeStats(g *qual.Graph) {
-	for t, n := range r.nodes {
+	for i := range r.nodes {
+		t := r.nodes[i].ty
 		if t.Kind != ctypes.Ptr {
 			continue
 		}
 		r.Stats.Ptrs++
-		if n.find().split {
+		if r.nodes[r.find(int32(i))].split {
 			r.Stats.SplitPtrs++
-			if r.MetaNonVoid(t.Elem) {
+			if r.metaNonVoid(t.Elem) {
 				r.Stats.MetaPtrs++
 			}
 		}

@@ -22,7 +22,6 @@ type libcState struct {
 	hostent  uint32 // interned struct hostent for gethostbyname
 	simRecvN uint64
 	simSentN uint64
-	ioSink   uint64
 }
 
 // builtinTable maps each library function to its implementation. It is
@@ -650,18 +649,13 @@ func (m *Machine) buildHostent(name string) uint32 {
 	return h.Addr
 }
 
-// ioLatency simulates the cost of a network/disk round trip: a fixed
-// syscall cost plus a per-byte wire cost. It is identical for raw and
-// cured runs, so I/O-bound workloads (Apache modules, ftpd, the drivers)
-// show the paper's ≈1.0 slowdown ratios while CPU-bound code does not.
+// ioLatency charges the simulated cost of a network/disk round trip: a
+// fixed syscall cost plus a per-byte wire cost, in simulated cycles only.
+// It is identical for raw and cured runs, so I/O-bound workloads (Apache
+// modules, ftpd, the drivers) show the paper's ≈1.0 slowdown ratios while
+// CPU-bound code does not.
 func (m *Machine) ioLatency(n uint32) {
 	m.addCost(2500 + 40*uint64(n))
-	work := 4000 + 60*uint64(n)
-	s := m.libcState.ioSink | 1
-	for i := uint64(0); i < work; i++ {
-		s = s*2862933555777941757 + 3037000493
-	}
-	m.libcState.ioSink = s
 }
 
 // bSimRecv fills a buffer with deterministic pseudo-network bytes.

@@ -138,21 +138,16 @@ func (m *Machine) load(addr uint32, t *ctypes.Type) Value {
 	}
 }
 
-// splitWork models the cost of maintaining the parallel metadata structure
-// alongside the data. Per §4.2, the m field is omitted when Meta(t) is
-// void, so pointers without metadata pay nothing extra — only accesses that
-// actually touch the mirrored structure are charged (the em3d/anagram
-// outliers come from their metadata-bearing pointers).
-func (m *Machine) splitWork(addr uint32, hasMeta bool) {
+// splitWork charges the simulated cost of maintaining the parallel metadata
+// structure alongside the data. Per §4.2, the m field is omitted when
+// Meta(t) is void, so pointers without metadata pay nothing extra — only
+// accesses that actually touch the mirrored structure are charged (the
+// em3d/anagram outliers come from their metadata-bearing pointers).
+func (m *Machine) splitWork(hasMeta bool) {
 	if !hasMeta {
 		return
 	}
 	m.addCost(5)
-	s := uint64(addr) | 1
-	for i := 0; i < 24; i++ {
-		s = s*2862933555777941757 + 3037000493
-	}
-	m.libcState.ioSink += s
 }
 
 func (m *Machine) loadPtr(addr uint32, t *ctypes.Type) Value {
@@ -165,7 +160,7 @@ func (m *Machine) loadPtr(addr uint32, t *ctypes.Type) Value {
 			v.B, v.E = meta.b, meta.e
 			v.RT = m.nodeByID(meta.rt)
 		}
-		m.splitWork(addr, ok)
+		m.splitWork(ok)
 		return v
 	}
 	switch m.lay.KindOf(t) {
@@ -225,13 +220,13 @@ func (m *Machine) storePtr(addr uint32, t *ctypes.Type, v Value) {
 		case qual.Seq, qual.Rtti, qual.Wild:
 			if v.B != 0 || v.E != 0 || v.RT != nil {
 				m.shadowMeta[addr] = metaEntry{b: v.B, e: v.E, rt: m.idOfNode(v.RT)}
-				m.splitWork(addr, true)
+				m.splitWork(true)
 			} else {
 				_, had := m.shadowMeta[addr]
 				if had {
 					delete(m.shadowMeta, addr)
 				}
-				m.splitWork(addr, had)
+				m.splitWork(had)
 			}
 		}
 		return

@@ -698,7 +698,7 @@ func (m *Machine) vmLoadPtr(addr uint32, d *vm.TyDesc) (p, b, e uint32, rt *rtti
 		if ok {
 			b, e, rt = meta.b, meta.e, m.nodeByID(meta.rt)
 		}
-		m.splitWork(addr, ok)
+		m.splitWork(ok)
 		return p, b, e, rt
 	}
 	switch d.PKind {
@@ -774,13 +774,13 @@ func (m *Machine) vmStorePtr(addr uint32, d *vm.TyDesc, p, b, e uint32, rt *rtti
 		case qual.Seq, qual.Rtti, qual.Wild:
 			if b != 0 || e != 0 || rt != nil {
 				m.shadowMeta[addr] = metaEntry{b: b, e: e, rt: m.idOfNode(rt)}
-				m.splitWork(addr, true)
+				m.splitWork(true)
 			} else {
 				_, had := m.shadowMeta[addr]
 				if had {
 					delete(m.shadowMeta, addr)
 				}
-				m.splitWork(addr, had)
+				m.splitWork(had)
 			}
 		}
 		return

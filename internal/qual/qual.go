@@ -69,22 +69,27 @@ type Node struct {
 
 // Graph is the whole-program qualifier graph.
 type Graph struct {
-	Nodes  []*Node
-	byType map[*ctypes.Type]*Node
+	Nodes []*Node
+	ids   *ctypes.IDs
+	// byOcc holds each occurrence's own node, by occurrence ID.
+	byOcc ctypes.Dense[*Node]
 	// Prov records every constraint edge and kind-forcing fact with its
 	// rule name and source location, so solved kinds can be explained by a
 	// blame chain (trace.Prov.Explain).
 	Prov *trace.Prov
 }
 
-// NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	g := &Graph{byType: make(map[*ctypes.Type]*Node), Prov: trace.NewProv()}
+// NewGraph returns an empty graph that numbers occurrences from ids.
+func NewGraph(ids *ctypes.IDs) *Graph {
+	g := &Graph{ids: ids, Prov: trace.NewProv()}
 	// A node's description is its occurrence's type, rendered only when a
 	// blame chain is.
 	g.Prov.Text = func(id int) string { return g.Nodes[id-1].Ty.String() }
 	return g
 }
+
+// annKind maps a source annotation to the kind it forces.
+var annKind = [...]Kind{ctypes.AnnSafe: Safe, ctypes.AnnSeq: Seq, ctypes.AnnWild: Wild, ctypes.AnnRtti: Rtti}
 
 // NodeFor returns the node for a pointer/array type occurrence, creating it
 // on first use.
@@ -92,23 +97,14 @@ func (g *Graph) NodeFor(t *ctypes.Type) *Node {
 	if t == nil || (t.Kind != ctypes.Ptr && t.Kind != ctypes.Array) {
 		return nil
 	}
-	if n, ok := g.byType[t]; ok {
+	id := g.ids.Of(t)
+	if n := g.byOcc.At(id); n != nil {
 		return n.Find()
 	}
-	n := &Node{ID: len(g.Nodes) + 1, Ty: t, g: g}
-	switch t.Ann {
-	case ctypes.AnnSafe:
-		n.Forced = Safe
-	case ctypes.AnnSeq:
-		n.Forced = Seq
-	case ctypes.AnnWild:
-		n.Forced = Wild
-	case ctypes.AnnRtti:
-		n.Forced = Rtti
-	}
+	n := &Node{ID: len(g.Nodes) + 1, Ty: t, g: g, Forced: annKind[t.Ann]}
 	n.parent = n
 	g.Nodes = append(g.Nodes, n)
-	g.byType[t] = n
+	g.byOcc.Put(id, n)
 	if n.Forced != Unknown {
 		g.Prov.AddSeed(n.ID, "forced-"+n.Forced.String(), diag.Pos{}, "user annotation")
 	}
@@ -117,14 +113,15 @@ func (g *Graph) NodeFor(t *ctypes.Type) *Node {
 
 // OccNode returns the node created for the occurrence t itself (not its
 // class representative), or nil. Blame chains start at occurrence nodes so
-// the explanation names the exact type the user wrote.
+// the explanation names the exact type the user wrote. Like Lookup, it
+// only reads: it never numbers t.
 func (g *Graph) OccNode(t *ctypes.Type) *Node {
-	return g.byType[t]
+	return g.byOcc.At(t.ID())
 }
 
 // Lookup returns the representative node for an occurrence, or nil.
 func (g *Graph) Lookup(t *ctypes.Type) *Node {
-	if n, ok := g.byType[t]; ok {
+	if n := g.OccNode(t); n != nil {
 		return n.Find()
 	}
 	return nil
@@ -151,13 +148,9 @@ func (g *Graph) Compress() {
 	}
 }
 
-// Union merges the classes of a and b (they must have the same kind).
-func (g *Graph) Union(a, b *Node) *Node {
-	return g.UnionR(a, b, "unify", diag.Pos{})
-}
-
-// UnionR is Union with provenance: rule names the inference rule that
-// demanded the unification and pos its source location.
+// UnionR merges the classes of a and b (they must have the same kind),
+// with provenance: rule names the inference rule that demanded the
+// unification and pos its source location.
 func (g *Graph) UnionR(a, b *Node, rule string, pos diag.Pos) *Node {
 	ra, rb := a.Find(), b.Find()
 	if ra == rb {
@@ -188,13 +181,9 @@ func (g *Graph) UnionR(a, b *Node, rule string, pos diag.Pos) *Node {
 	return ra
 }
 
-// Flow records data flow from src to dst (assignment dst = src).
-func (g *Graph) Flow(src, dst *Node) {
-	g.FlowR(src, dst, "flow", diag.Pos{})
-}
-
-// FlowR is Flow with provenance: rule names the inference rule behind the
-// edge ("assign", "upcast", "call-arg", ...) and pos its source location.
+// FlowR records data flow from src to dst (assignment dst = src), with
+// provenance: rule names the inference rule behind the edge ("assign",
+// "upcast", "call-arg", ...) and pos its source location.
 func (g *Graph) FlowR(src, dst *Node, rule string, pos diag.Pos) {
 	if src == nil || dst == nil {
 		return
@@ -252,10 +241,8 @@ func (n *Node) MarkBad(pos diag.Pos, why string) {
 	}
 }
 
-// MarkIntCast records a non-zero integer flowing into the pointer.
-func (n *Node) MarkIntCast() { n.MarkIntCastAt(diag.Pos{}) }
-
-// MarkIntCastAt is MarkIntCast with the cast's source location.
+// MarkIntCastAt records a non-zero integer flowing into the pointer, cast
+// at pos.
 func (n *Node) MarkIntCastAt(pos diag.Pos) {
 	if n != nil {
 		n.seed("int-cast", pos, "non-zero integer cast to pointer")

@@ -5,10 +5,11 @@ import (
 	"testing/quick"
 
 	"gocured/internal/ctypes"
+	"gocured/internal/diag"
 )
 
 func TestNodeForCreatesOncePerOccurrence(t *testing.T) {
-	g := NewGraph()
+	g := NewGraph(new(ctypes.IDs))
 	p1 := ctypes.PointerTo(ctypes.IntT())
 	p2 := ctypes.PointerTo(ctypes.IntT())
 	n1 := g.NodeFor(p1)
@@ -32,12 +33,12 @@ func TestNodeForCreatesOncePerOccurrence(t *testing.T) {
 }
 
 func TestUnionMergesFacts(t *testing.T) {
-	g := NewGraph()
+	g := NewGraph(new(ctypes.IDs))
 	a := g.NodeFor(ctypes.PointerTo(ctypes.IntT()))
 	b := g.NodeFor(ctypes.PointerTo(ctypes.IntT()))
 	a.MarkArith()
-	b.MarkIntCast()
-	g.Union(a, b)
+	b.MarkIntCastAt(diag.Pos{})
+	g.UnionR(a, b, "unify", diag.Pos{})
 	r := a.Find()
 	if r != b.Find() {
 		t.Fatal("union did not merge classes")
@@ -48,7 +49,7 @@ func TestUnionMergesFacts(t *testing.T) {
 }
 
 func TestAnnotationsSeedForced(t *testing.T) {
-	g := NewGraph()
+	g := NewGraph(new(ctypes.IDs))
 	ty := ctypes.PointerTo(ctypes.IntT())
 	ty.Ann = ctypes.AnnWild
 	n := g.NodeFor(ty)
@@ -58,10 +59,10 @@ func TestAnnotationsSeedForced(t *testing.T) {
 }
 
 func TestFlowEdges(t *testing.T) {
-	g := NewGraph()
+	g := NewGraph(new(ctypes.IDs))
 	a := g.NodeFor(ctypes.PointerTo(ctypes.IntT()))
 	b := g.NodeFor(ctypes.PointerTo(ctypes.IntT()))
-	g.Flow(a, b)
+	g.FlowR(a, b, "flow", diag.Pos{})
 	if len(a.FlowsOut()) != 1 || a.FlowsOut()[0].Find() != b.Find() {
 		t.Error("flow edge missing from source")
 	}
@@ -71,14 +72,14 @@ func TestFlowEdges(t *testing.T) {
 }
 
 func TestRepsAfterUnions(t *testing.T) {
-	g := NewGraph()
+	g := NewGraph(new(ctypes.IDs))
 	var nodes []*Node
 	for i := 0; i < 6; i++ {
 		nodes = append(nodes, g.NodeFor(ctypes.PointerTo(ctypes.IntT())))
 	}
-	g.Union(nodes[0], nodes[1])
-	g.Union(nodes[2], nodes[3])
-	g.Union(nodes[0], nodes[2])
+	g.UnionR(nodes[0], nodes[1], "unify", diag.Pos{})
+	g.UnionR(nodes[2], nodes[3], "unify", diag.Pos{})
+	g.UnionR(nodes[0], nodes[2], "unify", diag.Pos{})
 	reps := g.Reps()
 	if len(reps) != 3 { // {0,1,2,3}, {4}, {5}
 		t.Errorf("reps = %d, want 3", len(reps))
@@ -89,7 +90,7 @@ func TestRepsAfterUnions(t *testing.T) {
 // unions in arbitrary order.
 func TestUnionFindProperty(t *testing.T) {
 	f := func(pairs []uint8) bool {
-		g := NewGraph()
+		g := NewGraph(new(ctypes.IDs))
 		const n = 12
 		var nodes []*Node
 		for i := 0; i < n; i++ {
@@ -97,7 +98,7 @@ func TestUnionFindProperty(t *testing.T) {
 		}
 		for _, p := range pairs {
 			a, b := int(p)%n, int(p/16)%n
-			g.Union(nodes[a], nodes[b])
+			g.UnionR(nodes[a], nodes[b], "unify", diag.Pos{})
 		}
 		// Find must be consistent: transitively-united nodes share a rep.
 		for _, p := range pairs {
@@ -119,7 +120,7 @@ func TestUnionFindProperty(t *testing.T) {
 }
 
 func TestKindOfDefaultsSafe(t *testing.T) {
-	g := NewGraph()
+	g := NewGraph(new(ctypes.IDs))
 	ty := ctypes.PointerTo(ctypes.IntT())
 	if g.KindOf(ty) != Safe {
 		t.Error("unregistered occurrence defaults to SAFE")
