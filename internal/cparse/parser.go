@@ -307,8 +307,7 @@ func (p *Parser) parseStructSpecifier(union bool) *ctypes.StructInfo {
 	}
 	su := p.tags[name]
 	if su == nil || name == "" {
-		su = ctypes.NewStruct(name, union)
-		su.Index = int32(len(p.out.Structs))
+		su = ctypes.NewStruct(name, union, int32(len(p.out.Structs)))
 		p.out.Structs = append(p.out.Structs, su)
 		if name != "" {
 			p.tags[name] = su

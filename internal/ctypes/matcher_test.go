@@ -13,7 +13,7 @@ import (
 func TestMatcherReuse(t *testing.T) {
 	fig, cir := figureCircle()
 	list := func(name string) *Type {
-		su := NewStruct(name, false)
+		su := NewStruct(name, false, 0)
 		su.Define([]*Field{
 			{Name: "val", Type: IntT()},
 			{Name: "next", Type: PointerTo(StructType(su))},

@@ -47,7 +47,7 @@ func checkOnceWalk(t *testing.T, label string, ids *ctypes.IDs, roots []*ctypes.
 // as a fresh walk does, so the signature's later parameter is visited
 // before the struct's later field; it must not apply f twice.
 func TestOnceWalkerReentersSignature(t *testing.T) {
-	s := ctypes.NewStruct("S", false)
+	s := ctypes.NewStruct("S", false, 0)
 	sp := ctypes.PointerTo(ctypes.StructType(s))
 	yp := ctypes.PointerTo(ctypes.IntT())
 	handler := ctypes.PointerTo(ctypes.FuncType(ctypes.IntT(), []*ctypes.Type{sp, yp}, nil, false))

@@ -106,9 +106,9 @@ func flatten(t *Type, base int, out []atom) ([]atom, bool) {
 // so a caller that compares many types holds one Matcher. The zero value
 // is ready to use. A Matcher is not safe for concurrent use.
 type Matcher struct {
-	seen  map[[2]int]bool // struct-pair assumptions, by StructInfo.ID
-	pairs [][2]*Type      // matched pointer occurrences (for kind unification)
-	free  [][]atom        // atom buffers not in use by an enclosing comparison
+	seen  map[[2]*StructInfo]bool // struct-pair assumptions
+	pairs [][2]*Type              // matched pointer occurrences (for kind unification)
+	free  [][]atom                // atom buffers not in use by an enclosing comparison
 }
 
 // result ends a comparison: it hands the caller the pairs it matched (nil
@@ -206,12 +206,9 @@ func (m *Matcher) physEq(a, b *Type) bool {
 		if a.SU == b.SU {
 			return true
 		}
-		key := [2]int{a.SU.ID, b.SU.ID}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
+		key := [2]*StructInfo{a.SU, b.SU}
 		if m.seen == nil {
-			m.seen = make(map[[2]int]bool)
+			m.seen = make(map[[2]*StructInfo]bool)
 		}
 		if m.seen[key] {
 			return true

@@ -21,7 +21,6 @@ package ctypes
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Word is the machine word size in bytes. The paper's appendix assumes
@@ -108,12 +107,9 @@ type StructInfo struct {
 	Fields   []*Field
 	Complete bool
 
-	// ID is a unique identifier assigned at creation, usable as a map key
-	// for hierarchy construction.
-	ID int
-	// Index is the struct's dense per-program index, set by the parser:
-	// its position in File.Structs, which lowering copies to
-	// Program.Structs.
+	// Index is the struct's dense per-program index: its position in
+	// File.Structs, to which the parser appends every struct it makes and
+	// which lowering copies to Program.Structs.
 	Index int32
 
 	size, align int
@@ -143,14 +139,10 @@ type FuncInfo struct {
 	Variadic bool
 }
 
-// nextStructID is atomic so that independent translation units can be
-// compiled concurrently (the pipeline Runner fans Build out over a worker
-// pool) while struct IDs stay process-unique.
-var nextStructID atomic.Int64
-
-// NewStruct creates a fresh, incomplete struct or union definition.
-func NewStruct(name string, union bool) *StructInfo {
-	return &StructInfo{Name: name, Union: union, ID: int(nextStructID.Add(1))}
+// NewStruct creates a fresh, incomplete struct or union definition with
+// the given per-program index.
+func NewStruct(name string, union bool, index int32) *StructInfo {
+	return &StructInfo{Name: name, Union: union, Index: index}
 }
 
 // IDs numbers the type occurrences of one program, from 1, in the order
@@ -416,7 +408,7 @@ func (t *Type) String() string {
 		if t.SU.Name != "" {
 			return kw + " " + t.SU.Name
 		}
-		return fmt.Sprintf("%s <anon#%d>", kw, t.SU.ID)
+		return fmt.Sprintf("%s <anon#%d>", kw, t.SU.Index)
 	case Func:
 		var b strings.Builder
 		b.WriteString(t.Fn.Ret.String())
@@ -442,10 +434,10 @@ func (t *Type) String() string {
 // Equal reports structural equality of two types, ignoring qualifier nodes.
 // Used for "identical type" cast classification and signature matching.
 func Equal(a, b *Type) bool {
-	return equal(a, b, make(map[[2]int]bool))
+	return equal(a, b, make(map[[2]*StructInfo]bool))
 }
 
-func equal(a, b *Type, seen map[[2]int]bool) bool {
+func equal(a, b *Type, seen map[[2]*StructInfo]bool) bool {
 	if a == b {
 		return true
 	}
@@ -467,10 +459,7 @@ func equal(a, b *Type, seen map[[2]int]bool) bool {
 		if a.SU == b.SU {
 			return true
 		}
-		key := [2]int{a.SU.ID, b.SU.ID}
-		if a.SU.ID > b.SU.ID {
-			key = [2]int{b.SU.ID, a.SU.ID}
-		}
+		key := [2]*StructInfo{a.SU, b.SU}
 		if seen[key] {
 			return true // coinductive: assume equal while comparing
 		}

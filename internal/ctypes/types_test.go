@@ -34,7 +34,7 @@ func TestBasicSizes(t *testing.T) {
 
 func TestStructLayoutPadding(t *testing.T) {
 	// struct { char c; int i; short s; } => c@0, i@4, s@8, size 12
-	su := NewStruct("s", false)
+	su := NewStruct("s", false, 0)
 	su.Define([]*Field{
 		{Name: "c", Type: CharType()},
 		{Name: "i", Type: IntT()},
@@ -56,7 +56,7 @@ func TestStructLayoutPadding(t *testing.T) {
 }
 
 func TestUnionLayout(t *testing.T) {
-	su := NewStruct("u", true)
+	su := NewStruct("u", true, 0)
 	su.Define([]*Field{
 		{Name: "d", Type: FloatType(8)},
 		{Name: "c", Type: CharType()},
@@ -77,12 +77,12 @@ func TestUnionLayout(t *testing.T) {
 //	struct Figure { double (*area)(struct Figure*); };
 //	struct Circle { double (*area)(struct Figure*); int radius; };
 func figureCircle() (fig, cir *Type) {
-	figSU := NewStruct("Figure", false)
+	figSU := NewStruct("Figure", false, 0)
 	fig = StructType(figSU)
 	areaTy := FuncType(FloatType(8), []*Type{PointerTo(StructType(figSU))}, nil, false)
 	figSU.Define([]*Field{{Name: "area", Type: PointerTo(areaTy)}})
 
-	cirSU := NewStruct("Circle", false)
+	cirSU := NewStruct("Circle", false, 0)
 	areaTy2 := FuncType(FloatType(8), []*Type{PointerTo(StructType(figSU))}, nil, false)
 	cirSU.Define([]*Field{
 		{Name: "area", Type: PointerTo(areaTy2)},
@@ -118,7 +118,7 @@ func TestVoidIsTopOfHierarchy(t *testing.T) {
 
 func TestPhysEqualArrayUnrolling(t *testing.T) {
 	// int[6] ~ struct { int[2]; int[4]; }
-	su := NewStruct("", false)
+	su := NewStruct("", false, 0)
 	su.Define([]*Field{
 		{Name: "a", Type: ArrayOf(IntT(), 2)},
 		{Name: "b", Type: ArrayOf(IntT(), 4)},
@@ -141,13 +141,13 @@ func TestStructAssociativity(t *testing.T) {
 			}
 			return IntT()
 		}
-		in := NewStruct("", false)
+		in := NewStruct("", false, 0)
 		var inf []*Field
 		for i, s := range inner {
 			inf = append(inf, &Field{Name: string(rune('a' + i)), Type: tyOf(s)})
 		}
 		in.Define(inf)
-		out := NewStruct("", false)
+		out := NewStruct("", false, 0)
 		var outf []*Field
 		for i, s := range outer {
 			outf = append(outf, &Field{Name: string(rune('x' + i)), Type: tyOf(s)})
@@ -175,7 +175,7 @@ func TestNoDoubleOverFuncPtr(t *testing.T) {
 		t.Error("Tile(int[2], int) should succeed")
 	}
 	// And a struct of two ints tiles against int.
-	su := NewStruct("", false)
+	su := NewStruct("", false, 0)
 	su.Define([]*Field{{Name: "x", Type: IntT()}, {Name: "y", Type: IntT()}})
 	if ok, _ := Tile(StructType(su), IntT()); !ok {
 		t.Error("Tile(struct{int;int}, int) should succeed")
@@ -190,7 +190,7 @@ func TestRecursiveStructPhysEq(t *testing.T) {
 	// Two structurally identical list types must be physically equal
 	// (coinductive comparison must terminate).
 	mkList := func(name string) *Type {
-		su := NewStruct(name, false)
+		su := NewStruct(name, false, 0)
 		su.Define([]*Field{
 			{Name: "val", Type: IntT()},
 			{Name: "next", Type: PointerTo(StructType(su))},
@@ -202,7 +202,7 @@ func TestRecursiveStructPhysEq(t *testing.T) {
 		t.Error("isomorphic recursive lists should be physically equal")
 	}
 	// And a list with a float payload is not equal.
-	su := NewStruct("C", false)
+	su := NewStruct("C", false, 0)
 	su.Define([]*Field{
 		{Name: "val", Type: FloatType(4)},
 		{Name: "next", Type: PointerTo(StructType(su))},
@@ -213,9 +213,9 @@ func TestRecursiveStructPhysEq(t *testing.T) {
 }
 
 func TestUnionOpaque(t *testing.T) {
-	u1 := NewStruct("u1", true)
+	u1 := NewStruct("u1", true, 0)
 	u1.Define([]*Field{{Name: "i", Type: IntT()}, {Name: "f", Type: FloatType(4)}})
-	u2 := NewStruct("u2", true)
+	u2 := NewStruct("u2", true, 0)
 	u2.Define([]*Field{{Name: "i", Type: IntT()}, {Name: "f", Type: FloatType(4)}})
 	if ok, _ := PhysEqual(StructType(u1), StructType(u2)); ok {
 		t.Error("distinct unions must be opaque to physical equality")
@@ -263,7 +263,7 @@ func TestPrefixProperties(t *testing.T) {
 		func(n int) *Type { return FloatType([]int{4, 8}[n%2]) },
 		func(n int) *Type { return ArrayOf(IntT(), n%5+1) },
 		func(n int) *Type {
-			su := NewStruct("", false)
+			su := NewStruct("", false, 0)
 			su.Define([]*Field{
 				{Name: "a", Type: IntType([]int{1, 2, 4}[n%3], true)},
 				{Name: "b", Type: FloatType(8)},

@@ -49,21 +49,17 @@ func TestRegTypeRegistersOnce(t *testing.T) {
 // type only when a blame chain is rendered, not when the node is made,
 // brought it to 1.99 MB (2,091,200 bytes). Keeping per-occurrence state in
 // slices indexed by dense occurrence IDs instead of maps keyed by
-// *ctypes.Type brought it to 1.47 MB (1,536,576 bytes), and bind, whose
-// __SPLIT annotations give split inference real work, from 0.47 MB
-// (488,440 bytes) to 0.36 MB (373,240 bytes). Each limit is the last
-// figure plus 25%. The bind leg does not run under the race detector:
-// bind's RTTI subtype tests take their matchers from a sync.Pool, which
-// the detector empties at random, so bind's figure there measures the
-// detector (0.57-0.78 MB over four runs), not the inference.
+// *ctypes.Type, running the RTTI subtype tests on the inference's own
+// matcher and building hierarchy keys without fmt brought it to 1.45 MB
+// (1,524,864 bytes), and bind, whose __SPLIT annotations give split
+// inference real work, from 0.47 MB (488,440 bytes) to 0.35 MB (371,464
+// bytes). Each limit is the last figure plus 25%. Under the race detector
+// the figures are 1,598,696 and 388,192 bytes.
 func TestInferAllocation(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		limit uint64
-	}{{"ijpeg", 1_921_000}, {"bind", 466_600}} {
-		if raceEnabled && c.name == "bind" {
-			continue
-		}
+	}{{"ijpeg", 1_906_100}, {"bind", 464_400}} {
 		p := corpus.ByName(c.name)
 		var best uint64
 		for i := 0; i < 3; i++ {

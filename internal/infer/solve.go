@@ -165,7 +165,7 @@ func (in *inferrer) propagateRtti(reps []*qual.Node, byDst [][]*edge) {
 			case edgeAssign:
 				push(src)
 			case edgeUpcast:
-				if src.Ty != nil && src.Ty.Elem != nil && in.hier.HasStrictSubtypes(in.hier.Of(src.Ty.Elem)) {
+				if src.Ty != nil && src.Ty.Elem != nil && in.hier.HasStrictSubtypes(in.hier.Of(src.Ty.Elem), &in.match) {
 					push(src)
 				}
 			}

@@ -85,7 +85,7 @@ int main(void) {
 // and a query for it panics naming the struct.
 func TestCuredLayoutMissPanics(t *testing.T) {
 	u := build(t, corpus.Prelude+`int main(void) { return 0; }`, infer.Options{})
-	stray := ctypes.NewStruct("stray", false)
+	stray := ctypes.NewStruct("stray", false, 0)
 	stray.Define([]*ctypes.Field{{Name: "x", Type: ctypes.IntT()}})
 	for name, query := range map[string]func(){
 		"Sizeof":   func() { u.Cured.Lay.Sizeof(ctypes.StructType(stray)) },

@@ -154,7 +154,7 @@ func TestFactKeyEveryCase(t *testing.T) {
 	i64 := ctypes.IntType(8, true)
 	ip := ctypes.PointerTo(i32)
 	ip2 := ctypes.PointerTo(i32) // prints like ip, but is another occurrence
-	su := ctypes.NewStruct("s", false)
+	su := ctypes.NewStruct("s", false, 0)
 	su.Define([]*ctypes.Field{{Name: "f", Type: ip}, {Name: "h", Type: ip}})
 	g := &cil.Var{Name: "g", Type: ip, Global: true, ID: 12345}
 	gl := &cil.Var{Name: "gl", Type: ip, ID: 12345} // a local with g's ID

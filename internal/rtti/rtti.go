@@ -7,8 +7,7 @@
 package rtti
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"gocured/internal/ctypes"
@@ -46,80 +45,84 @@ func NewHierarchy() *Hierarchy {
 	return h
 }
 
-// key canonicalizes a type for hierarchy identity: struct types by
-// definition, everything else structurally.
-func key(t *ctypes.Type) string {
+// appendKey appends t's hierarchy key to b: struct types by definition
+// (StructInfo.Index, unique within one program, and a hierarchy holds the
+// types of one program), everything else structurally.
+func appendKey(b []byte, t *ctypes.Type) []byte {
 	switch t.Kind {
 	case ctypes.Void:
-		return "void"
+		return append(b, "void"...)
 	case ctypes.Int:
-		sign := "u"
+		sign := byte('u')
 		if t.Signed {
-			sign = "i"
+			sign = 'i'
 		}
-		return fmt.Sprintf("%s%d", sign, t.Size*8)
+		return strconv.AppendInt(append(b, sign), int64(t.Size*8), 10)
 	case ctypes.Float:
-		return fmt.Sprintf("f%d", t.Size*8)
+		return strconv.AppendInt(append(b, 'f'), int64(t.Size*8), 10)
 	case ctypes.Ptr:
-		return "*" + key(t.Elem)
+		return appendKey(append(b, '*'), t.Elem)
 	case ctypes.Array:
-		return fmt.Sprintf("[%d]%s", t.Len, key(t.Elem))
+		b = strconv.AppendInt(append(b, '['), int64(t.Len), 10)
+		return appendKey(append(b, ']'), t.Elem)
 	case ctypes.Struct:
-		return fmt.Sprintf("su%d", t.SU.ID)
+		return strconv.AppendInt(append(b, "su"...), int64(t.SU.Index), 10)
 	case ctypes.Func:
-		var b strings.Builder
-		b.WriteString("fn(")
+		b = append(b, "fn("...)
 		for i, p := range t.Fn.Params {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(key(p))
+			b = appendKey(b, p)
 		}
 		if t.Fn.Variadic {
-			b.WriteString(",...")
+			b = append(b, ",..."...)
 		}
-		b.WriteString(")")
-		b.WriteString(key(t.Fn.Ret))
-		return b.String()
+		return appendKey(append(b, ')'), t.Fn.Ret)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Of registers (if needed) and returns the hierarchy node for t. This is
 // the compile-time rttiOf function; the interpreter also calls it at run
 // time when a statically-typed pointer first records its type.
 func (h *Hierarchy) Of(t *ctypes.Type) *Node {
-	k := key(t)
+	var buf [64]byte
+	k := appendKey(buf[:0], t)
 	h.mu.RLock()
-	n, ok := h.byKey[k]
+	n, ok := h.byKey[string(k)]
 	h.mu.RUnlock()
 	if ok {
 		return n
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if n, ok := h.byKey[k]; ok {
+	if n, ok := h.byKey[string(k)]; ok {
 		return n
 	}
 	n = &Node{ID: len(h.nodes) + 1, Ty: t, Name: t.String()}
 	h.nodes = append(h.nodes, n)
-	h.byKey[k] = n
+	h.byKey[string(k)] = n
 	return n
 }
 
 // Lookup returns the node for t if registered, else nil.
 func (h *Hierarchy) Lookup(t *ctypes.Type) *Node {
-	k := key(t)
+	var buf [64]byte
+	k := appendKey(buf[:0], t)
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.byKey[k]
+	return h.byKey[string(k)]
 }
 
 // IsSubtype reports whether a ≤ b (a is a physical subtype of b), i.e. a
 // pointer to an a may be used where a pointer to a b is expected after a
 // checked downcast from b to a succeeds in reverse. It is the run-time
-// subtype test of §3.2.
-func (h *Hierarchy) IsSubtype(a, b *Node) bool {
+// subtype test of §3.2; it compares on a pooled Matcher.
+func (h *Hierarchy) IsSubtype(a, b *Node) bool { return h.isSubtype(a, b, nil) }
+
+// isSubtype is IsSubtype comparing on m, or on a pooled Matcher if m is nil.
+func (h *Hierarchy) isSubtype(a, b *Node, m *ctypes.Matcher) bool {
 	if a == b {
 		return true
 	}
@@ -131,7 +134,12 @@ func (h *Hierarchy) IsSubtype(a, b *Node) bool {
 		return v == 1
 	}
 	// a ≤ b iff b's layout is a prefix of a's layout.
-	sub, _ := ctypes.Prefix(a.Ty, b.Ty)
+	var sub bool
+	if m != nil {
+		sub, _ = m.Prefix(a.Ty, b.Ty)
+	} else {
+		sub, _ = ctypes.Prefix(a.Ty, b.Ty)
+	}
 	v = 0
 	if sub {
 		v = 1
@@ -145,8 +153,9 @@ func (h *Hierarchy) IsSubtype(a, b *Node) bool {
 // HasStrictSubtypes reports whether any registered aggregate type is a
 // strict physical subtype of n's type. The inference uses this to avoid
 // propagating the RTTI kind to pointers whose static type has no subtypes
-// in the program (§3.2: such pointers stay SAFE).
-func (h *Hierarchy) HasStrictSubtypes(n *Node) bool {
+// in the program (§3.2: such pointers stay SAFE). It compares on m, the
+// inference's own Matcher.
+func (h *Hierarchy) HasStrictSubtypes(n *Node, m *ctypes.Matcher) bool {
 	nodes := h.Nodes()
 	if n == h.VoidNode {
 		// Everything is a subtype of void; void has strict subtypes as
@@ -158,11 +167,11 @@ func (h *Hierarchy) HasStrictSubtypes(n *Node) bool {
 	if n.Ty.Kind != ctypes.Struct {
 		return false
 	}
-	for _, m := range nodes {
-		if m == n || m.Ty.Kind != ctypes.Struct {
+	for _, s := range nodes {
+		if s == n || s.Ty.Kind != ctypes.Struct {
 			continue
 		}
-		if h.IsSubtype(m, n) {
+		if h.isSubtype(s, n, m) {
 			return true
 		}
 	}

@@ -8,25 +8,25 @@ import (
 
 // mkHierarchy builds Figure <- Circle <- (ColoredCircle) plus Square.
 func mkHierarchy() (h *Hierarchy, fig, cir, colored, square *ctypes.Type) {
-	figSU := ctypes.NewStruct("Figure", false)
+	figSU := ctypes.NewStruct("Figure", false, 0)
 	area := func() *ctypes.Type {
 		return ctypes.PointerTo(ctypes.FuncType(ctypes.FloatType(8),
 			[]*ctypes.Type{ctypes.PointerTo(ctypes.StructType(figSU))}, nil, false))
 	}
 	figSU.Define([]*ctypes.Field{{Name: "area", Type: area()}})
 
-	cirSU := ctypes.NewStruct("Circle", false)
+	cirSU := ctypes.NewStruct("Circle", false, 1)
 	cirSU.Define([]*ctypes.Field{
 		{Name: "area", Type: area()},
 		{Name: "radius", Type: ctypes.IntT()},
 	})
-	colSU := ctypes.NewStruct("ColoredCircle", false)
+	colSU := ctypes.NewStruct("ColoredCircle", false, 2)
 	colSU.Define([]*ctypes.Field{
 		{Name: "area", Type: area()},
 		{Name: "radius", Type: ctypes.IntT()},
 		{Name: "color", Type: ctypes.IntT()},
 	})
-	sqSU := ctypes.NewStruct("Square", false)
+	sqSU := ctypes.NewStruct("Square", false, 3)
 	sqSU.Define([]*ctypes.Field{
 		{Name: "area", Type: area()},
 		{Name: "side", Type: ctypes.FloatType(8)},
@@ -82,23 +82,24 @@ func TestVoidIsTop(t *testing.T) {
 
 func TestHasStrictSubtypes(t *testing.T) {
 	h, fig, cir, colored, square := mkHierarchy()
-	if !h.HasStrictSubtypes(h.Of(fig)) {
+	var m ctypes.Matcher
+	if !h.HasStrictSubtypes(h.Of(fig), &m) {
 		t.Error("Figure has subtypes (Circle, Square)")
 	}
-	if !h.HasStrictSubtypes(h.Of(cir)) {
+	if !h.HasStrictSubtypes(h.Of(cir), &m) {
 		t.Error("Circle has a subtype (ColoredCircle)")
 	}
-	if h.HasStrictSubtypes(h.Of(colored)) {
+	if h.HasStrictSubtypes(h.Of(colored), &m) {
 		t.Error("ColoredCircle has no subtypes")
 	}
-	if h.HasStrictSubtypes(h.Of(square)) {
+	if h.HasStrictSubtypes(h.Of(square), &m) {
 		t.Error("Square has no subtypes")
 	}
-	if !h.HasStrictSubtypes(h.VoidNode) {
+	if !h.HasStrictSubtypes(h.VoidNode, &m) {
 		t.Error("void has strict subtypes once anything is registered")
 	}
 	// Scalars never count as having subtypes (§3.2 inference rule).
-	if h.HasStrictSubtypes(h.Of(ctypes.IntT())) {
+	if h.HasStrictSubtypes(h.Of(ctypes.IntT()), &m) {
 		t.Error("int must not report subtypes")
 	}
 }
